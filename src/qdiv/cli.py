@@ -61,16 +61,14 @@ def _parse_dims(text) -> tuple:
 
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tolerance", type=float, default=None,
-              help="Override the default tolerance where a subcommand uses one.")
 @click.option("--out", type=click.Path(), default=None, help="Write output to a file.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.pass_context
-def main(ctx, seed, tolerance, out, fmt):
+def main(ctx, seed, out, fmt):
     """Min/max relative entropies, smoothing, entanglement bounds and
     finite-n information-spectrum estimates."""
-    ctx.obj = {"seed": seed, "tolerance": tolerance, "out": out, "format": fmt}
+    ctx.obj = {"seed": seed, "out": out, "format": fmt}
 
 
 def _run(ctx, fn):
@@ -257,9 +255,7 @@ def suite_cmd(ctx, cmd_seed, trials, dims):
     def work():
         seed = cmd_seed if cmd_seed is not None else ctx.obj["seed"]
         dim_list = tuple(int(x) for x in dims.split(","))
-        tolerances = {}
-        config = SuiteConfig(seed=seed, trials=trials, dims=dim_list,
-                             tolerances=tolerances)
+        config = SuiteConfig(seed=seed, trials=trials, dims=dim_list)
         report = run_suite(config)
         if ctx.obj["format"] == "csv":
             lines = ["name,trials,failures,worst_violation"]

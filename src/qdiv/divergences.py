@@ -14,11 +14,10 @@ import numpy as np
 
 from .operators import (
     DensityOperator,
+    Spectrum,
     ValidationError,
     _as_matrix,
     compare_projector,
-    eig_decompose,
-    generalized_inverse_sqrt,
     hermitian_part,
     partial_trace_matrix,
     support_projector,
@@ -41,7 +40,9 @@ class DivergenceValue:
 
     @classmethod
     def of(cls, bits: float) -> "DivergenceValue":
-        return cls(bits=float(bits), finite=math.isfinite(bits))
+        # adding +0.0 turns -0.0 (e.g. -log2 of an overlap of exactly 1) into +0.0
+        bits = float(bits) + 0.0
+        return cls(bits=bits, finite=math.isfinite(bits))
 
     @classmethod
     def infinite(cls) -> "DivergenceValue":
@@ -57,41 +58,36 @@ class DivergenceReport:
     sandwich_ok: bool
 
 
-def _check_psd(sigma_mat: np.ndarray):
-    w = np.linalg.eigvalsh(sigma_mat)
+def _psd_spectrum(sigma) -> Spectrum:
+    """The one factorization of sigma, checked to be positive semidefinite."""
+    spec = Spectrum.of(sigma)
+    w = spec.eigenvalues
     if w[0] < -1e-10 * max(1.0, abs(w[-1])):
         raise ValidationError(f"sigma has negative eigenvalue {w[0]:.3e}")
+    return spec
+
+
+def _leaks(rm: np.ndarray, sigma_spec: Spectrum, tol: float = SUPPORT_LEAK_TOL) -> bool:
+    """Whether the compression of rho onto the kernel of sigma exceeds tol."""
+    kernel = sigma_spec.eigenvectors[:, ~sigma_spec.support]
+    if not kernel.shape[1]:
+        return False
+    leak = hermitian_part(kernel.conj().T @ rm @ kernel)
+    return float(np.abs(np.linalg.eigvalsh(leak)).max()) > tol
 
 
 def support_contained(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
     """supp(rho) subseteq supp(sigma), robust to eigenvector noise."""
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    pker = np.eye(sm.shape[0]) - support_projector(sm).mat
-    leak = hermitian_part(pker @ rm @ pker)
-    return float(np.abs(np.linalg.eigvalsh(leak)).max()) <= tol
-
-
-def _fn_on_support(mat: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to the nonzero eigenvalues, zero on the kernel."""
-    spec = eig_decompose(mat)
-    w = spec.eigenvalues
-    thr = 1e-10 * max(w.max(), 0.0) if w.size else 0.0
-    vals = np.where(w > max(thr, 0.0), fn(np.maximum(w, 1e-300)), 0.0)
-    v = spec.eigenvectors
-    return (v * vals) @ v.conj().T
-
-
-def matrix_power_on_support(mat: np.ndarray, p: float) -> np.ndarray:
-    return _fn_on_support(mat, lambda w: w**p)
+    return not _leaks(_as_matrix(rho), Spectrum.of(sigma), tol)
 
 
 def d_max(rho, sigma) -> DivergenceValue:
     """Max-relative entropy: log2 of the smallest lambda with rho <= lambda sigma."""
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    _check_psd(sm)
-    if not support_contained(rm, sm):
+    rm = _as_matrix(rho)
+    spec = _psd_spectrum(sigma)
+    if _leaks(rm, spec):
         return DivergenceValue.infinite()
-    w = generalized_inverse_sqrt(sm).mat
+    w = spec.apply(lambda x: 1.0 / np.sqrt(x), on_support=True)
     mu = np.linalg.eigvalsh(hermitian_part(w @ rm @ w))[-1]
     return DivergenceValue.of(math.log2(max(mu, 1e-300)))
 
@@ -144,8 +140,8 @@ def d_max_forms(rho, sigma, bit_resolution: float = 1e-11) -> tuple:
 def d_min(rho, sigma) -> DivergenceValue:
     """Min-relative entropy: -log2 Tr(pi_rho sigma)."""
     rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    _check_psd(sm)
-    pi = support_projector(rm).mat
+    _psd_spectrum(sm)  # validates sigma
+    pi = Spectrum.of(rm).apply(np.ones_like, on_support=True)
     overlap = float(np.trace(pi @ sm).real)
     if overlap <= 0:
         return DivergenceValue.infinite()
@@ -155,12 +151,12 @@ def d_min(rho, sigma) -> DivergenceValue:
 def relative_entropy(rho, sigma) -> DivergenceValue:
     """Quantum relative entropy S(rho||sigma) = Tr[rho log2 rho - rho log2 sigma],
     evaluated on supp(sigma) with the 0 log 0 = 0 convention."""
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    _check_psd(sm)
-    if not support_contained(rm, sm):
+    rm = _as_matrix(rho)
+    spec = _psd_spectrum(sigma)
+    if _leaks(rm, spec):
         return DivergenceValue.infinite()
-    log_r = _fn_on_support(rm, np.log2)
-    log_s = _fn_on_support(sm, np.log2)
+    log_r = Spectrum.of(rm).apply(np.log2, on_support=True)
+    log_s = spec.apply(np.log2, on_support=True)
     val = float(np.trace(rm @ (log_r - log_s)).real)
     return DivergenceValue.of(val)
 
@@ -169,10 +165,8 @@ def renyi_relative(rho, sigma, alpha: float) -> DivergenceValue:
     """Relative Renyi entropy S_alpha for 0 < alpha < 1 (powers on supports)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    _check_psd(sm)
-    ra = matrix_power_on_support(rm, alpha)
-    sb = matrix_power_on_support(sm, 1.0 - alpha)
+    ra = Spectrum.of(rho).apply(lambda w: w**alpha, on_support=True)
+    sb = _psd_spectrum(sigma).apply(lambda w: w ** (1.0 - alpha), on_support=True)
     overlap = float(np.trace(ra @ sb).real)
     if overlap <= 0:
         return DivergenceValue.infinite()
@@ -180,25 +174,19 @@ def renyi_relative(rho, sigma, alpha: float) -> DivergenceValue:
 
 
 def _chernoff_objective(rm: np.ndarray, sm: np.ndarray):
-    spec_r, spec_s = eig_decompose(rm), eig_decompose(sm)
-    pi_r = support_projector(rm).mat
-    pi_s = support_projector(sm).mat
-
-    def power(spec, p):
-        w = spec.eigenvalues
-        thr = 1e-12 * max(w.max(), 0.0)
-        vals = np.where(w > thr, np.maximum(w, 1e-300) ** p, 0.0)
-        return (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
+    spec_r, spec_s = Spectrum.of(rm), Spectrum.of(sm)
+    pi_r = spec_r.apply(np.ones_like, on_support=True)
+    pi_s = spec_s.apply(np.ones_like, on_support=True)
 
     def f(s):
         if s <= 0.0:
             left = pi_r
         else:
-            left = power(spec_r, s)
+            left = spec_r.apply(lambda w: w**s, on_support=True)
         if s >= 1.0:
             right = pi_s
         else:
-            right = power(spec_s, 1.0 - s)
+            right = spec_s.apply(lambda w: w ** (1.0 - s), on_support=True)
         return float(np.trace(left @ right).real)
 
     return f

@@ -64,13 +64,19 @@ class SeparableEnsemble:
                 raise ValidationError("ensemble vectors must be unit norm")
 
     def assemble(self) -> DensityOperator:
-        w0, a0, b0 = self.terms[0]
-        d = len(a0) * len(b0)
-        out = np.zeros((d, d), dtype=complex)
-        for w, a, b in self.terms:
-            v = np.kron(a, b)
-            out += w * np.outer(v, v.conj())
-        return DensityOperator.from_matrix(out)
+        return DensityOperator.from_matrix(_mixture_matrix(self.terms))
+
+
+def _mixture_matrix(terms) -> np.ndarray:
+    """sum_i w_i |a_i><a_i| (x) |b_i><b_i| as a plain matrix, unvalidated, for
+    the inner loops of the solvers."""
+    _, a0, b0 = terms[0]
+    d = len(a0) * len(b0)
+    out = np.zeros((d, d), dtype=complex)
+    for w, a, b in terms:
+        v = np.kron(a, b)
+        out += w * np.outer(v, v.conj())
+    return hermitian_part(out)
 
 
 @dataclass(frozen=True)
@@ -188,15 +194,6 @@ def ppt_emax_lower(state: BipartiteState) -> float:
 # Separable ensemble upper bounds
 # ---------------------------------------------------------------------------
 
-def _assemble_terms(terms, dims) -> np.ndarray:
-    da, db = dims
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for w, a, b in terms:
-        v = np.kron(a, b)
-        out += w * np.outer(v, v.conj())
-    return hermitian_part(out)
-
-
 def _basis_terms(dims) -> list:
     da, db = dims
     w = 1.0 / (da * db)
@@ -292,7 +289,7 @@ def _separable_feasibility(rm: np.ndarray, dims: tuple, t: float, terms,
     """Conditional-gradient ascent of lambda_min(t sigma - rho) over the
     separable set; returns (achieved lambda_min, terms)."""
     terms = list(terms)
-    sigma = _assemble_terms(terms, dims)
+    sigma = _mixture_matrix(terms)
     vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
     cur = vals[0]
     tau = max(0.2 * (vals[-1] - vals[0]), 1e-3)
@@ -324,7 +321,7 @@ def _separable_feasibility(rm: np.ndarray, dims: tuple, t: float, terms,
                 break
         if (it + 1) % 20 == 0:
             terms = _reweight_lammin(rm, dims, t, terms)
-        sigma = _assemble_terms(terms, dims)
+        sigma = _mixture_matrix(terms)
         vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
         cur = vals[0]
     return cur, _prune_terms(terms, max_terms)
@@ -353,11 +350,11 @@ def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
         base = list(initial)
     else:
         base = _schmidt_terms(rm, state.dims)
-        if not d_max(rm, _assemble_terms(base, state.dims)).finite:
+        if not d_max(rm, _mixture_matrix(base)).finite:
             base = base + _basis_terms(state.dims)
             base = [(0.5 * w, a, b) for w, a, b in base]
     best_terms = base
-    upper = d_max(rm, _assemble_terms(base, state.dims)).bits
+    upper = d_max(rm, _mixture_matrix(base)).bits
     lower = ppt_emax_lower(state)
     for restart in range(max(restarts, 1)):
         lo, hi = max(lower - 2e-3, 0.0), upper
@@ -369,7 +366,7 @@ def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
             start = list(cand)
             if achieved >= -1e-10:
                 hi = mid
-                exact = d_max(rm, _assemble_terms(cand, state.dims)).bits
+                exact = d_max(rm, _mixture_matrix(cand)).bits
                 if exact < upper:
                     upper, best_terms = exact, cand
             else:
@@ -383,7 +380,7 @@ def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
                                                     list(best_terms), iters, max_terms)
             if achieved < -1e-10:
                 break
-            exact = d_max(rm, _assemble_terms(cand, state.dims)).bits
+            exact = d_max(rm, _mixture_matrix(cand)).bits
             if exact >= upper:
                 break
             upper, best_terms = exact, cand
@@ -438,7 +435,7 @@ def rel_ent_entanglement(state: BipartiteState, terms: int = None, seed=0,
     da, db = state.dims
     max_terms = terms if terms is not None else (da * db) ** 2
     ens = _basis_terms(state.dims)
-    sigma = _assemble_terms(ens, state.dims)
+    sigma = _mixture_matrix(ens)
     cur = _rel_ent_objective(rm, sigma)
     eta_grid = (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02, 0.008, 0.003, 0.001)
     for it in range(iters):
@@ -457,7 +454,7 @@ def rel_ent_entanglement(state: BipartiteState, terms: int = None, seed=0,
         ens.append((best_eta, a, b))
         if len(ens) > 2 * max_terms:
             ens = _prune_terms(ens, max_terms)
-        sigma = _assemble_terms(ens, state.dims)
+        sigma = _mixture_matrix(ens)
         cur = _rel_ent_objective(rm, sigma)
     return cur
 

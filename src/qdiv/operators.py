@@ -121,13 +121,40 @@ class Projector:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition with descending eigenvalues and orthonormal columns."""
+    """Eigendecomposition of the Hermitian part of an operator: ascending
+    eigenvalues and orthonormal eigenvector columns.
+
+    The one spectral kernel: every function of an operator is ``apply`` on
+    one factorization, so an operator needed under several functions is
+    factored once.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+    @classmethod
+    def of(cls, a) -> "Spectrum":
+        w, v = np.linalg.eigh(hermitian_part(_as_matrix(a)))
+        return cls(eigenvalues=w, eigenvectors=v)
+
+    @property
+    def support(self) -> np.ndarray:
+        """Mask of the eigenvalues above SUPPORT_RTOL * lambda_max."""
+        w = self.eigenvalues
+        return w > max(SUPPORT_RTOL * w[-1], 0.0)
+
+    def apply(self, fn, on_support: bool = False) -> np.ndarray:
+        """V fn(W) V^dag; with ``on_support`` fn sees only the support
+        eigenvalues (all positive) and the kernel maps to zero."""
+        w = self.eigenvalues
+        if on_support:
+            keep = self.support
+            vals = np.zeros_like(w)
+            vals[keep] = fn(w[keep])
+        else:
+            vals = fn(w)
+        v = self.eigenvectors
+        return (v * vals) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -161,25 +188,12 @@ class QuantumInstrument:
         object.__setattr__(self, "elements", elements)
 
 
-def eig_decompose(a) -> Spectrum:
-    """Eigendecomposition with descending eigenvalues and a deterministic
-    phase convention (first nonzero component of each eigenvector real positive)."""
-    mat = hermitian_part(_as_matrix(a))
-    w, v = np.linalg.eigh(mat)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-10 * np.abs(col).max())
-        k = nz[0] if nz.size else 0
-        phase = col[k] / abs(col[k]) if abs(col[k]) > 0 else 1.0
-        v[:, j] = col / phase
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-_RELATIONS = {">=", ">", "<=", "<"}
+_RELATIONS = {
+    ">=": lambda w: w >= -EIG_ZERO_TOL,
+    ">": lambda w: w > EIG_ZERO_TOL,
+    "<=": lambda w: w <= EIG_ZERO_TOL,
+    "<": lambda w: w < -EIG_ZERO_TOL,
+}
 
 
 def compare_projector(a, b, relation: str = ">=") -> Projector:
@@ -194,49 +208,16 @@ def compare_projector(a, b, relation: str = ">=") -> Projector:
     am, bm = _as_matrix(a), _as_matrix(b)
     if am.shape != bm.shape:
         raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    spec = eig_decompose(am - bm)
-    w = spec.eigenvalues
-    zero = np.abs(w) <= EIG_ZERO_TOL
-    pos = w > EIG_ZERO_TOL
-    neg = w < -EIG_ZERO_TOL
-    keep = {
-        ">=": pos | zero,
-        ">": pos,
-        "<=": neg | zero,
-        "<": neg,
-    }[relation]
-    vk = spec.eigenvectors[:, keep]
-    p = vk @ vk.conj().T
-    return Projector(HermitianOperator(p), rank=int(keep.sum()))
+    spec = Spectrum.of(am - bm)
+    keep = _RELATIONS[relation](spec.eigenvalues)
+    return Projector(HermitianOperator(spec.apply(lambda w: keep)), rank=int(keep.sum()))
 
 
 def support_projector(rho) -> Projector:
     """Projector onto the range of a positive operator (relative rank cutoff)."""
-    spec = eig_decompose(rho)
-    w = spec.eigenvalues
-    thr = SUPPORT_RTOL * max(w.max(), 0.0) if w.size else 0.0
-    keep = w > max(thr, 0.0)
-    vk = spec.eigenvectors[:, keep]
-    return Projector(HermitianOperator(vk @ vk.conj().T), rank=int(keep.sum()))
-
-
-def generalized_inverse_sqrt(sigma) -> HermitianOperator:
-    """sigma^{-1/2} on the support of sigma, zero on its kernel."""
-    spec = eig_decompose(sigma)
-    w = spec.eigenvalues
-    if w.size and w[-1] < -PSD_TOL:
-        raise ValidationError(f"operator has negative eigenvalue {w[-1]:.3e}")
-    thr = SUPPORT_RTOL * max(w.max(), 0.0) if w.size else 0.0
-    inv = np.where(w > max(thr, 0.0), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    v = spec.eigenvectors
-    return HermitianOperator((v * inv) @ v.conj().T)
-
-
-def matrix_sqrt(a) -> np.ndarray:
-    spec = eig_decompose(a)
-    w = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    v = spec.eigenvectors
-    return (v * w) @ v.conj().T
+    spec = Spectrum.of(rho)
+    return Projector(HermitianOperator(spec.apply(np.ones_like, on_support=True)),
+                     rank=int(spec.support.sum()))
 
 
 def trace_distance(a, b) -> float:
@@ -254,7 +235,7 @@ def fidelity(rho: DensityOperator, rho2: DensityOperator) -> float:
         raise ValidationError("fidelity requires normalized states")
     if rho.dim != rho2.dim:
         raise ValidationError("dimension mismatch")
-    s = matrix_sqrt(rho.mat)
+    s = Spectrum.of(rho).apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
     w = np.linalg.eigvalsh(hermitian_part(s @ rho2.mat @ s))
     return float(np.sqrt(np.clip(w, 0.0, None)).sum())
 

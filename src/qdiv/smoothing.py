@@ -20,13 +20,11 @@ from .divergences import d_max, d_min
 from .operators import (
     DensityOperator,
     HermitianOperator,
+    Spectrum,
     ValidationError,
     _as_matrix,
     compare_projector,
-    eig_decompose,
-    generalized_inverse_sqrt,
     hermitian_part,
-    matrix_sqrt,
     trace_distance,
 )
 
@@ -93,6 +91,10 @@ class SmoothingCertificate:
             raise CertificateError("smoothed state left the epsilon ball")
 
 
+def _positive_part(w: np.ndarray) -> np.ndarray:
+    return np.clip(w, 0.0, None)
+
+
 def lemma5_smooth(rho: DensityOperator, sigma: DensityOperator, lambda_bits: float) -> SmoothingCertificate:
     """Contract rho towards 2^lambda sigma.
 
@@ -103,17 +105,13 @@ def lemma5_smooth(rho: DensityOperator, sigma: DensityOperator, lambda_bits: flo
     """
     t = 2.0**lambda_bits
     rm, sm = rho.mat, sigma.mat
-    diff = rm - t * sm
-    spec = eig_decompose(diff)
-    pos = np.clip(spec.eigenvalues, 0.0, None)
-    delta = hermitian_part((spec.eigenvectors * pos) @ spec.eigenvectors.conj().T)
+    delta = hermitian_part(Spectrum.of(rm - t * sm).apply(_positive_part))
     alpha = t * sm
     beta = alpha + delta
-    transform = matrix_sqrt(alpha) @ generalized_inverse_sqrt(beta).mat
-    smoothed_mat = hermitian_part(transform @ rm @ transform.conj().T)
+    transform = (Spectrum.of(alpha).apply(lambda w: np.sqrt(_positive_part(w)))
+                 @ Spectrum.of(beta).apply(lambda w: 1.0 / np.sqrt(w), on_support=True))
     # clip tiny negative rounding noise so the result is a valid operator
-    w, v = np.linalg.eigh(smoothed_mat)
-    smoothed_mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    smoothed_mat = Spectrum.of(transform @ rm @ transform.conj().T).apply(_positive_part)
     cert = SmoothingCertificate(
         lambda_bits=float(lambda_bits),
         epsilon_used=math.sqrt(8.0 * max(float(np.trace(delta).real), 0.0)),
@@ -354,31 +352,47 @@ def smooth_dmin_exact_classical(p, q, eps: float) -> float:
     return best
 
 
-def smooth_dmax_exact_classical(p, q, eps: float, bit_resolution: float = 1e-9) -> float:
+def smooth_dmax_exact_classical(p, q, eps: float) -> float:
     """Exact eps-smooth max-relative entropy for commuting (diagonal) pairs:
     smallest t with sum_i (p_i - t q_i)_+ <= eps, reported as log2 t.
 
-    Serves as the independent oracle for the Dykstra solver.
+    +inf when the p-mass on {q = 0} exceeds eps; -inf when the total p-mass is
+    at most eps (t = 0 is feasible).  Serves as the independent oracle for the
+    Dykstra solver.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    fixed = p[q <= 0].sum()
-    if fixed > eps + 1e-15:
+    with np.errstate(divide="ignore"):
+        return smooth_dmax_exact_log(np.log(np.asarray(p, dtype=float)),
+                                     np.log(np.asarray(q, dtype=float)), eps)
+
+
+def smooth_dmax_exact_log(log_p, log_q, eps: float) -> float:
+    """``smooth_dmax_exact_classical`` on natural-log weights (-inf for zero),
+    so that weights far below the float range, such as the sigma-masses of
+    type classes at large n, neither underflow nor overflow.
+
+    The cost sum_i (p_i - t q_i)_+ is convex, nonincreasing and linear between
+    the ratios p_i / q_i.  With the ratios sorted in decreasing order, the
+    cost at the k-th ratio r_k is f + P_{k-1} - r_k Q_{k-1} (f the p-mass on
+    {q = 0}, P and Q prefix sums); the last breakpoint k with cost <= eps
+    fixes the segment, on which t = (f + P_k - eps) / Q_k.
+    """
+    log_p = np.asarray(log_p, dtype=float)
+    log_q = np.asarray(log_q, dtype=float)
+    live = np.isfinite(log_p)
+    fixed = float(np.exp(log_p[live & np.isneginf(log_q)]).sum())
+    if fixed > eps:
         return math.inf
-
-    def cost(t):
-        return float(np.clip(p - t * q, 0.0, None).sum())
-
-    lo_t = max((p[q > 0] / q[q > 0]).min() if (q > 0).any() else 1.0, 1e-300)
-    hi_t = max((p[q > 0] / q[q > 0]).max() if (q > 0).any() else 1.0, lo_t)
-    lo, hi = math.log2(lo_t) - 1.0, math.log2(hi_t) + 1e-12
-    while cost(2.0**lo) <= eps and lo > -80.0:
-        hi = lo
-        lo -= 8.0
-    while hi - lo > bit_resolution:
-        mid = (lo + hi) / 2
-        if cost(2.0**mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    keep = live & np.isfinite(log_q)
+    order = np.argsort(log_q[keep] - log_p[keep])
+    lp, lq = log_p[keep][order], log_q[keep][order]
+    if not lp.size:
+        return -math.inf
+    cum_p = np.cumsum(np.exp(lp))
+    log_cum_q = np.logaddexp.accumulate(lq)
+    cost = fixed + np.concatenate(([0.0], cum_p[:-1] - np.exp(lp[1:] - lq[1:] + log_cum_q[:-1])))
+    above = np.flatnonzero(cost > eps)
+    k = above[0] if above.size else len(cost)
+    excess = fixed + cum_p[k - 1] - eps
+    if excess <= 0.0:
+        return -math.inf
+    return float(math.log(excess) - log_cum_q[k - 1]) / math.log(2.0)

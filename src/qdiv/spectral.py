@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .divergences import d_min, relative_entropy
+from .divergences import relative_entropy
 from .operators import (
     DensityOperator,
     ValidationError,
     compare_projector,
     hermitian_part,
 )
-from .smoothing import smooth_dmax_upper, smooth_dmin_lower
+from .smoothing import smooth_dmax_exact_log, smooth_dmax_upper, smooth_dmin_lower
 
 DENSE_DIM_GUARD = 4096
 TYPE_COUNT_GUARD = 2_000_000
@@ -63,13 +63,6 @@ def tensor_power(rho: DensityOperator, n: int) -> DensityOperator:
     for _ in range(n - 1):
         out = np.kron(out, rho.mat)
     return DensityOperator.from_matrix(out)
-
-
-def _tensor_power_matrix(mat: np.ndarray, n: int) -> np.ndarray:
-    out = mat
-    for _ in range(n - 1):
-        out = np.kron(out, mat)
-    return out
 
 
 def joint_eigen_probabilities(pair: IIDPair) -> tuple:
@@ -161,10 +154,8 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
         return _mass(logs, mask)
     if method == "fast":
         raise ValidationError("fast path requires a commuting pair")
-    rho_n = _tensor_power_matrix(pair.rho.mat, n)
-    sigma_n = _tensor_power_matrix(pair.sigma.mat, n)
-    if rho_n.shape[0] > DENSE_DIM_GUARD:
-        raise ValidationError("dense path exceeds the size guard")
+    rho_n = tensor_power(pair.rho, n).mat
+    sigma_n = tensor_power(pair.sigma, n).mat
     proj = compare_projector(rho_n, (2.0**threshold) * sigma_n, ">" if strict else ">=").mat
     target = rho_n if weight == "rho" else sigma_n
     return max(float(np.trace(proj @ target).real), 0.0)
@@ -176,68 +167,31 @@ def lemma2_bound_check(pair: IIDPair, n: int, gamma_bits: float) -> tuple:
     return lhs, 2.0 ** (-n * gamma_bits)
 
 
-def _classical_smooth_dmax_types(table: TypeTable, eps: float,
-                                 bit_resolution: float = 1e-9) -> float:
-    """Smallest total lambda with sum over types of (P - 2^lambda Q)_+ <= eps."""
-    p_mass = np.exp(table.log_p)
-    q_mass = np.exp(table.log_q)
-    if p_mass[q_mass <= 0].sum() > eps + 1e-15:
-        return math.inf
-
-    def cost(lam):
-        return float(np.clip(p_mass - (2.0**lam) * q_mass, 0.0, None).sum())
-
-    finite = np.isfinite(table.ratio_bits) & (p_mass > 0)
-    if not finite.any():
-        return -math.inf
-    lo = float(table.ratio_bits[finite].min()) - 1.0
-    hi = float(table.ratio_bits[finite].max()) + 1e-9
-    while cost(lo) <= eps and lo > hi - 10_000.0:
-        hi = lo
-        lo -= 8.0
-    while hi - lo > bit_resolution:
-        mid = (lo + hi) / 2
-        if cost(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _classical_smooth_dmin_types(table: TypeTable, eps: float) -> float:
     """Projector-sweep lower bound on the smooth min-relative entropy over type
     prefixes ordered by likelihood ratio (the full gamma sweep, evaluated at
-    every achievable threshold)."""
-    p_mass = np.exp(table.log_p)
-    q_mass = np.exp(table.log_q)
+    every achievable threshold), with the sigma-masses summed in the log
+    domain."""
     order = np.argsort(table.ratio_bits)[::-1]
-    p_sorted = p_mass[order]
-    q_sorted = q_mass[order]
-    supported = p_sorted > 0
-    cum_p = np.cumsum(p_sorted)
-    cum_q = np.cumsum(q_sorted)
-    total_p = cum_p[-1]
-    # unsmoothed value: support of the full distribution
-    base_q = q_sorted[supported].sum()
-    best = -math.log2(base_q) if base_q > 0 else math.inf
-    for j in range(len(order)):
-        delta = max(total_p - cum_p[j], 0.0)
-        if 2.0 * math.sqrt(delta) > eps:
-            continue
-        if cum_p[j] <= 0:
-            continue
-        kept_q = q_sorted[: j + 1][supported[: j + 1]].sum()
-        val = math.inf if kept_q <= 0 else -math.log2(kept_q)
-        if val > best:
-            best = val
-    return best
+    log_p = table.log_p[order]
+    cum_p = np.cumsum(np.exp(log_p))
+    deleted = np.maximum(cum_p[-1] - cum_p, 0.0)
+    feasible = (2.0 * np.sqrt(deleted) <= eps) & np.isfinite(np.maximum.accumulate(log_p))
+    # the kept sigma-mass grows with the prefix, so the shortest feasible prefix
+    # is the best; the full prefix, the unsmoothed value, is always feasible
+    # unless rho has no support at all
+    j = np.flatnonzero(feasible)[0] if feasible.any() else len(order) - 1
+    kept = np.where(np.isneginf(log_p[: j + 1]), -np.inf, table.log_q[order][: j + 1])
+    return float(-logsumexp(kept) / math.log(2.0))
 
 
 def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
     """Per-n smoothed divergence rates for the product sequence.
 
-    Commuting pairs use the exact classical smoothers on type classes; general
-    pairs use the dense solvers under the size guard.
+    Commuting pairs work on type classes: D_max is the exact classical smooth
+    value, and D_min is the projector-sweep lower bound under the
+    gentle-measurement budget 2 sqrt(delta) <= eps for the deleted rho-mass
+    delta.  General pairs use the dense solvers under the size guard.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -247,7 +201,7 @@ def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
         p, q = joint_eigen_probabilities(pair)
         for n in n_list:
             table = type_table(p, q, n)
-            dmax_n = _classical_smooth_dmax_types(table, eps)
+            dmax_n = smooth_dmax_exact_log(table.log_p, table.log_q, eps)
             dmin_n = _classical_smooth_dmin_types(table, eps)
             points.append(RatePoint(n=n, eps=eps, dmax_over_n=dmax_n / n,
                                     dmin_over_n=dmin_n / n, rel_entropy=rel.bits))
@@ -269,10 +223,3 @@ def divergence_rate_estimate(pair: IIDPair, eps: float, n_max: int) -> dict:
     """
     point = rate_curve(pair, eps, [n_max])[0]
     return {"sup_est": point.dmax_over_n, "inf_est": point.dmin_over_n}
-
-
-def unsmoothed_dmin_rate(pair: IIDPair, n: int) -> float:
-    """D_min(rho^n || sigma^n) / n, for cross-checks."""
-    rho_n = tensor_power(pair.rho, n)
-    sigma_n = tensor_power(pair.sigma, n)
-    return d_min(rho_n.mat, sigma_n.mat).bits / n

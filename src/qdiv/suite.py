@@ -8,7 +8,7 @@ draws from default_rng([seed, k, t]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class SuiteConfig:
     seed: int = 42
     trials: int = 100
     dims: tuple = (2, 3, 4)
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -131,7 +130,7 @@ def chk_gentle_measurement(rng, dim):
     rho = op.random_density(dim, dim, rng).mat
     lam = op.random_effect(dim, rng).mat
     delta = max(1.0 - _tr(rho @ lam), 0.0)
-    root = op.matrix_sqrt(lam)
+    root = op.Spectrum.of(lam).apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
     dist = op.trace_distance(rho, root @ rho @ root)
     return dist - 2.0 * math.sqrt(delta)
 
@@ -498,7 +497,7 @@ def chk_rate_order_small_eps(rng, dim):
 
 # ------------------------------- registry --------------------------------
 
-# (name, function, default tolerance, trials divisor)
+# (name, function, tolerance, trials divisor)
 CHECKS = (
     ("projector_trace_bound", chk_projector_trace_bound, 1e-9, 1),
     ("dominated_overlap_bound", chk_dominated_overlap_bound, 1e-9, 1),
@@ -548,8 +547,7 @@ CHECKS = (
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     results = []
-    for idx, (name, fn, default_tol, divisor) in enumerate(CHECKS):
-        tol = float(config.tolerances.get(name, default_tol))
+    for idx, (name, fn, tol, divisor) in enumerate(CHECKS):
         trials = max(1, config.trials // divisor)
         failures = 0
         worst = -math.inf

@@ -69,6 +69,9 @@ def test_dmin_partial_support():
 
 def test_dmin_zero_for_full_support():
     assert d_min(P, Q).bits == pytest.approx(0.0, abs=1e-12)
+    half = np.eye(2, dtype=complex) / 2
+    assert math.copysign(1.0, d_min(half, half).bits) == 1.0
+    assert math.copysign(1.0, d_min(P, P).bits) == 1.0
 
 
 def test_relative_entropy_diagonal():
@@ -94,6 +97,9 @@ def test_renyi_small_alpha_approaches_dmin():
 
 def test_chernoff_frozen_value():
     assert chernoff_bound(P, Q).bits == pytest.approx(0.0500, abs=5e-4)
+    # an eigenvalue ratio of 1e-11 falls under the support cutoff
+    rho = np.diag([1.0 - 1e-11, 1e-11]).astype(complex)
+    assert chernoff_bound(rho, Q).bits == pytest.approx(1.0, abs=1e-9)
 
 
 def test_chernoff_dominates_dmin():
@@ -151,6 +157,27 @@ def test_report_sandwich():
     rep = divergence_report(rho, sigma)
     assert rep.sandwich_ok
     assert rep.d_min.bits <= rep.rel_entropy.bits <= rep.d_max.bits + 1e-9
+
+
+def test_sigma_factored_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    rng = np.random.default_rng(2)
+    rho = random_density(4, 2, rng).mat
+    sigma = random_density(4, 4, rng).mat
+    singular = random_density(4, 3, rng).mat
+    assert count(d_max, rho, sigma) <= 2
+    assert count(relative_entropy, rho, sigma) <= 2
+    assert count(d_max, rho, singular) <= 3
 
 
 def test_sigma_must_be_psd():

@@ -6,10 +6,11 @@ from qdiv.operators import (
     HermitianOperator,
     Projector,
     QuantumChannel,
+    SUPPORT_RTOL,
+    Spectrum,
     ValidationError,
     apply_channel,
     compare_projector,
-    eig_decompose,
     fidelity,
     partial_trace,
     random_channel,
@@ -64,11 +65,17 @@ def test_support_projector_rank():
     assert support_projector(rho).rank == 2
 
 
-def test_eig_decompose_descending_and_reconstructs():
+def test_spectrum_apply_reconstructs_and_cuts_support():
     mat = random_density(5, 5, 7).mat
-    spec = eig_decompose(mat)
-    assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-    assert np.allclose(spec.reconstruct(), mat, atol=1e-12)
+    spec = Spectrum.of(mat)
+    assert np.all(np.diff(spec.eigenvalues) >= 0)
+    assert np.allclose(spec.apply(lambda w: w), mat, atol=1e-12)
+    u = random_unitary(3, 8)
+    w = np.array([1.0, 2 * SUPPORT_RTOL, 0.5 * SUPPORT_RTOL])
+    spec = Spectrum.of((u * w) @ u.conj().T)
+    assert spec.support.tolist() == [False, True, True]
+    kept = (u[:, :2] * w[:2]) @ u[:, :2].conj().T
+    assert np.allclose(spec.apply(lambda x: x, on_support=True), kept, rtol=0, atol=1e-12)
 
 
 def test_trace_distance_diagonal():

@@ -120,6 +120,11 @@ def test_smooth_dmin_exact_classical_support_guard():
 def test_smooth_dmax_exact_classical_frozen():
     val = smooth_dmax_exact_classical((0.9, 0.1), (0.5, 0.5), 0.2)
     assert val == pytest.approx(math.log2(1.4), abs=1e-8)
+    # p-mass on {q = 0} above eps: no t suffices
+    assert smooth_dmax_exact_classical((0.7, 0.3), (1.0, 0.0), 0.2) == math.inf
+    # total p-mass at most eps: t = 0 suffices
+    assert smooth_dmax_exact_classical((0.1, 0.05), (0.5, 0.5), 0.2) == -math.inf
+    assert smooth_dmax_exact_classical((0.1, 0.0), (0.0, 1.0), 0.2) == -math.inf
 
 
 def test_smooth_dmax_exact_classical_matches_dykstra():

@@ -106,6 +106,19 @@ def test_rate_curve_sandwich_and_convergence():
 def test_rate_curve_fast_path_large_n():
     pt = rate_curve(PAIR, 0.05, [200])[0]
     assert pt.dmax_over_n == pytest.approx(0.260214, abs=1e-5)
+    # type classes whose sigma-masses lie far below the float range
+    cases = [
+        ((0.9, 0.1), (0.3, 0.7), 1000, 1.21136792696, None),
+        ((0.9, 0.1), (0.3, 0.7), 1200, 1.20673140948, 1.02790009827),
+        ((0.75, 0.25), (0.5, 0.5), 3000, 0.20876307885, None),
+    ]
+    for p, q, n, dmax_over_n, dmin_over_n in cases:
+        pair = IIDPair(rho=DensityOperator.from_matrix(np.diag(p).astype(complex)),
+                       sigma=DensityOperator.from_matrix(np.diag(q).astype(complex)))
+        pt = rate_curve(pair, 0.05, [n])[0]
+        assert pt.dmax_over_n == pytest.approx(dmax_over_n, abs=1e-10)
+        if dmin_over_n is not None:
+            assert pt.dmin_over_n == pytest.approx(dmin_over_n, abs=1e-10)
 
 
 def test_divergence_rate_estimate_equal_states():
