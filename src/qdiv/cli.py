@@ -78,7 +78,8 @@ def _run(ctx, fn):
         click.echo(f"validation error: {exc}", err=True)
         ctx.exit(1)
     except sm.SolverError as exc:
-        click.echo(f"solver did not converge: {exc}", err=True)
+        click.echo(f"solver did not converge: {exc} (iterations {exc.iterations}, "
+                   f"residuals {exc.residuals})", err=True)
         ctx.exit(2)
 
 
@@ -160,7 +161,7 @@ def smooth(ctx, quantity, rho_path, sigma_path, eps, mode):
                     "at_bracket_floor": bound.at_bracket_floor,
                 }
             else:
-                payload["value_bits"] = sm.smooth_dmax_exact(rho, sigma, eps)
+                payload["value_bits"] = _bits(sm.smooth_dmax_exact(rho, sigma, eps))
         else:
             if mode == "bound":
                 payload["value_bits"] = sm.smooth_dmin_lower(rho, sigma, eps)

@@ -2,9 +2,9 @@
 
 E_max(rho) = min over separable sigma of D_max(rho||sigma) is estimated with a
 two-sided certificate: an upper bound from an explicit separable ensemble
-(reassemblable by the caller) and a convex lower bound from the PPT relaxation
-solved by alternating projections.  Exactness claims are confined to 2x2 and
-2x3 systems where PPT equals separable.
+(reassemblable by the caller) and a convex lower bound from the PPT relaxation,
+certified by a feasible point of its dual semidefinite program.  Exactness
+claims are confined to 2x2 and 2x3 systems where PPT equals separable.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sdp import hermitian_basis, hermitian_coordinates, solve_lmi
 from .divergences import d_max, relative_entropy
 from .operators import (
     DensityOperator,
     HermitianOperator,
+    Spectrum,
     ValidationError,
     _rng,
     hermitian_part,
@@ -26,11 +28,8 @@ from .operators import (
     random_instrument,
     random_unitary,
 )
-from .smoothing import SolverError
 
 PPT_EIG_TOL = 1e-9
-PPT_RESIDUAL_TOL = 1e-7
-PPT_SAFETY_BITS = 1e-3
 BARRIER_WEIGHT = 1e-6
 
 
@@ -115,79 +114,38 @@ def is_ppt(state: BipartiteState) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PPT lower bound via alternating projections
+# PPT lower bound: the dual of one linear semidefinite program
 # ---------------------------------------------------------------------------
 
-def _eigclip(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitian_part(mat))
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
-def _ppt_residual(x: np.ndarray, rm: np.ndarray, dims: tuple, t: float) -> float:
-    neg = -min(np.linalg.eigvalsh(x)[0], 0.0)
-    neg_pt = -min(np.linalg.eigvalsh(_pt_matrix(x, dims, "B"))[0], 0.0)
-    neg_dom = -min(np.linalg.eigvalsh(t * x - rm)[0], 0.0)
-    return max(neg, neg_pt, neg_dom / max(t, 1.0), abs(np.trace(x).real - 1.0))
-
-
-def _ppt_feasible(rm: np.ndarray, dims: tuple, t: float, max_iter: int = 4000,
-                  stall: int = 150):
-    """Dykstra alternating projections for sigma >= 0, sigma^TB >= 0,
-    t sigma >= rho, Tr sigma = 1.  Returns a feasible sigma or None."""
-    d = rm.shape[0]
-    shifted = rm / t
-    x = np.eye(d, dtype=complex) / d
-    corr = [np.zeros_like(x) for _ in range(4)]
-    projections = [
-        _eigclip,
-        lambda m: _pt_matrix(_eigclip(_pt_matrix(m, dims, "B")), dims, "B"),
-        lambda m: shifted + _eigclip(m - shifted),
-        lambda m: m - ((np.trace(m).real - 1.0) / d) * np.eye(d),
-    ]
-    best = math.inf
-    since_best = 0
-    for _ in range(max_iter):
-        for k, proj in enumerate(projections):
-            y = proj(x + corr[k])
-            corr[k] = x + corr[k] - y
-            x = y
-        res = _ppt_residual(x, rm, dims, t)
-        if res <= PPT_RESIDUAL_TOL:
-            return x
-        if res < best - 1e-12:
-            best = res
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= stall:
-                return None
-    return None
-
-
 def ppt_emax_lower(state: BipartiteState) -> float:
-    """Lower bound on E_max from relaxing the separable set to the PPT set.
+    """Certified lower bound on E_max from relaxing the separable set to the
+    PPT set; equal to E_max in 2x2 and 2x3 systems, where PPT is separable.
 
-    Bisection on t for feasibility of {sigma PPT state, rho <= t sigma};
-    returns log2 of the smallest feasible t found, minus a small safety
-    margin, floored at zero.
+    min over PPT states sigma of D_max(rho||sigma) is log2 of
+    min{Tr Y : Y >= rho, Y^TB >= 0}, whose dual is
+    max{Tr rho Z : Z >= 0, W >= 0, Z + W^TB = I}.  The dual is solved
+    directly, as max Tr rho Z over Z >= 0 with W = (I - Z)^TB >= 0, and its
+    solution is made exactly feasible: Z is clipped to PSD, W0 = I - Z^TB,
+    c = max(0, -lambda_min(W0)), and Z' = Z / (1 + c), W' = (W0 + c I) / (1 + c)
+    satisfy Z' + W'^TB = I.  log2 Tr rho Z' is then a lower bound by weak
+    duality; it is floored at zero.
     """
     if state.state.dim > 16:
         raise ValidationError("PPT lower bound is limited to total dimension <= 16")
-    rm = state.state.mat
-    if is_ppt(state) :
+    if is_ppt(state):
         return 0.0
-    mu = float(np.linalg.eigvalsh(rm)[-1])
-    lo, hi = 1.0, state.state.dim * mu + 1e-9
-    if _ppt_feasible(rm, state.dims, hi) is None:
-        raise SolverError("alternating projections failed at the maximally mixed endpoint",
-                          residuals=(hi,))
-    while math.log2(hi) - math.log2(lo) > 5e-4:
-        mid = math.sqrt(lo * hi)
-        if _ppt_feasible(rm, state.dims, mid) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return max(math.log2(hi) - PPT_SAFETY_BITS, 0.0)
+    rm, dims, d = state.state.mat, state.dims, state.state.dim
+    basis = hermitian_basis(d)
+    eye = np.eye(d)
+    # blocks Z >= 0 and I - Z^TB >= 0; the solver's multipliers of these are
+    # Y - rho and Y^TB, started from Y = 2 I (rho <= I)
+    blocks = ((np.zeros((d, d)), basis),
+              (eye, -np.array([_pt_matrix(e, dims, "B") for e in basis])))
+    x, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
+                     hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
+    z = Spectrum.of(np.tensordot(x, basis, 1)).apply(lambda w: np.clip(w, 0.0, None))
+    shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims, "B"))[0]))
+    return math.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +227,19 @@ def _reweight_lammin(rm: np.ndarray, dims, t: float, terms, steps: int = 25) -> 
 
 
 def _schmidt_terms(rm: np.ndarray, dims: tuple) -> list:
-    """Product ensemble from the top Schmidt component of each eigenvector;
-    a locally covariant starting point that is close to weakly entangled
-    states."""
+    """Product ensemble from the Schmidt decompositions of the eigenvectors,
+    sum_k w_k sum_j s_kj |a_kj b_kj><a_kj b_kj| normalized, with w_k the
+    eigenvalues and s_kj the Schmidt coefficients.  A locally covariant
+    starting point; for a pure state it is the separable state at which
+    D_max attains E_max = 2 log2 sum_j s_j."""
     da, db = dims
     w, v = np.linalg.eigh(rm)
     terms = []
     for k in range(len(w)):
         if w[k] <= 1e-12:
             continue
-        u_, _, vt = np.linalg.svd(v[:, k].reshape(da, db))
-        terms.append((float(w[k]), u_[:, 0], vt[0].conj()))
+        u_, s, vt = np.linalg.svd(v[:, k].reshape(da, db))
+        terms += [(float(w[k] * s[j]), u_[:, j], vt[j]) for j in range(len(s)) if s[j] > 1e-12]
     total = sum(wt for wt, _, _ in terms)
     return [(wt / total, a, b) for wt, a, b in terms]
 
@@ -507,20 +467,18 @@ def monotone_condition_suite(state: BipartiteState, seed=0, tol: float = 1e-8) -
     viol = max(reduced - base, 0.0)
     results.append(ConditionResult("partial_trace_monotone", viol <= tol, viol))
 
-    # (iv) instrument inequality on subnormalized outcomes
+    # (iv) instrument inequality: sum_k p_k D_max(rho_k||sigma_k) <= D_max(rho||sigma)
+    # for the normalized outcomes rho_k = V_k rho V_k^dag / p_k, sigma_k likewise
     instrument = random_instrument(d, 2, rng.integers(2**32))
     lhs = 0.0
-    rhs = 0.0
     for v in instrument.elements:
         ri = v @ rm @ v.conj().T
         si = v @ sigma @ v.conj().T
         alpha = float(np.trace(ri).real)
         beta = float(np.trace(si).real)
-        di = d_max(ri, si).bits
-        rhs += di
         if alpha > 1e-12 and beta > 1e-12:
-            lhs += alpha * (di - math.log2(alpha / beta))
-    viol = max(lhs - rhs, 0.0)
+            lhs += alpha * (d_max(ri, si).bits - math.log2(alpha / beta))
+    viol = max(lhs - base, 0.0)
     results.append(ConditionResult("instrument_inequality", viol <= tol, viol))
 
     # (v) block-orthogonal decomposition: pinching to random orthogonal blocks

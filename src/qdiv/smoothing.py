@@ -4,8 +4,11 @@ Three layers:
   * the constructive smoothing certificate (contraction by T = alpha^{1/2} beta^{-1/2}),
   * bound-style smoothers built on it (bisection over the certificate budget,
     projector-sweep lower bound for the min side),
-  * desk-scale exact solvers (Dykstra alternating projections; exact classical
-    routines on weight vectors that double as oracles for the general case).
+  * desk-scale exact solvers (one linear semidefinite program for the smooth
+    max-relative entropy; exact classical routines on weight vectors that
+    double as oracles for the general case).
+
+``SolverError`` is re-exported here from ``qdiv._sdp``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sdp import SolverError, hermitian_basis, hermitian_coordinates, solve_lmi  # noqa: F401
 from .divergences import d_max, d_min
 from .operators import (
     DensityOperator,
@@ -31,14 +35,6 @@ from .operators import (
 
 class CertificateError(RuntimeError):
     """A constructed smoothing certificate failed its own invariants."""
-
-
-class SolverError(RuntimeError):
-    """An alternating-projection solve did not converge; carries residuals."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -169,125 +165,70 @@ def smooth_dmax_upper(rho: DensityOperator, sigma: DensityOperator, eps: float,
 
 
 # --------------------------------------------------------------------------
-# Dykstra alternating projections for the exact smooth max-relative entropy.
+# The exact smooth max-relative entropy as one linear semidefinite program.
 # --------------------------------------------------------------------------
 
-def _eigclip_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitian_part(mat))
-    if w[0] >= 0:
-        return mat
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
-def _project_below(mat: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto {X : X <= cap}."""
-    return cap - _eigclip_psd(cap - mat)
-
-
-def _project_trace_ball(mat: np.ndarray, center: np.ndarray, eps: float) -> np.ndarray:
-    """Frobenius projection onto {X : ||X - center||_1 <= eps} by eigenvalue
-    soft-thresholding of the difference."""
-    diff = hermitian_part(mat - center)
-    w, v = np.linalg.eigh(diff)
-    total = np.abs(w).sum()
-    if total <= eps:
-        return mat
-    # waterfilling for the threshold tau with sum (|w| - tau)_+ = eps
-    a = np.sort(np.abs(w))[::-1]
-    csum = np.cumsum(a)
-    tau = 0.0
-    for k in range(1, len(a) + 1):
-        tau = (csum[k - 1] - eps) / k
-        if k == len(a) or a[k] <= tau:
-            break
-    shrunk = np.sign(w) * np.clip(np.abs(w) - tau, 0.0, None)
-    return center + (v * shrunk) @ v.conj().T
-
-
-def _project_trace_cap(mat: np.ndarray, cap: float) -> np.ndarray:
-    tr = float(np.trace(mat).real)
-    if tr <= cap:
-        return mat
-    d = mat.shape[0]
-    return mat - ((tr - cap) / d) * np.eye(d)
-
-
-def _dykstra_ball_feasible(rm: np.ndarray, sm: np.ndarray, eps: float, t: float,
-                           tol: float = 1e-7, max_iter: int = 10000):
-    """Is there X in B^eps(rho) with 0 <= X <= t sigma?  Returns (feasible, residuals)."""
-    cap = t * sm
-    tr_cap = float(np.trace(rm).real)
-    projections = (
-        _eigclip_psd,
-        lambda x: _project_below(x, cap),
-        lambda x: _project_trace_ball(x, rm, eps),
-        lambda x: _project_trace_cap(x, tr_cap),
-    )
-    x = rm.copy()
-    corrections = [np.zeros_like(rm) for _ in projections]
-
-    def residuals(y):
-        w = np.linalg.eigvalsh(hermitian_part(y))
-        wc = np.linalg.eigvalsh(hermitian_part(y - cap))
-        return (
-            max(-float(w[0]), 0.0),
-            max(float(wc[-1]), 0.0),
-            max(trace_distance(y, rm) - eps, 0.0),
-            max(float(np.trace(y).real) - tr_cap, 0.0),
-        )
-
-    best = math.inf
-    stall = 0
-    for _ in range(max_iter):
-        for i, proj in enumerate(projections):
-            y = proj(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            x = y
-        res = residuals(x)
-        worst = max(res)
-        if worst <= tol:
-            return True, res
-        if worst >= best - 1e-13:
-            stall += 1
-            if stall > 120:
-                return False, res
-        else:
-            stall = 0
-            best = worst
-    return False, residuals(x)
-
-
-def smooth_dmax_exact(rho: DensityOperator, sigma: DensityOperator, eps: float,
-                      bit_resolution: float = 2e-5, tol: float = 1e-7,
-                      max_iter: int = 10000) -> float:
+def smooth_dmax_exact(rho: DensityOperator, sigma: DensityOperator, eps: float) -> float:
     """Exact eps-smooth max-relative entropy at desk scale (dim <= 16).
 
-    Bisection on t = 2^lambda with the feasibility subproblem
-    "exists rho_bar in B^eps(rho) with 0 <= rho_bar <= t sigma"
-    solved by Dykstra alternating projections.
+    One linear semidefinite program in (rho_bar, P, t): minimize t subject to
+    0 <= rho_bar <= t sigma, N = P - (rho_bar - rho) >= 0, P >= 0,
+    Tr(P + N) <= eps (so ||rho_bar - rho||_1 <= eps) and Tr rho_bar <= Tr rho,
+    solved by the interior-point solver of ``qdiv._sdp``.  The program is
+    posed on supp(sigma), which holds every rho_bar <= t sigma and, by the
+    support requirement, rho itself; there sigma is invertible, so the program
+    is strictly feasible even for singular sigma.  sigma is scaled by
+    2^D_max(rho||sigma), which puts the optimal t in (0, 1].  The value is
+    log2 t of a feasible rho_bar, within the solver's relative gap of the
+    optimum.  -inf when Tr rho <= eps: rho_bar = 0 lies in the ball, as in
+    ``smooth_dmax_exact_classical``.
     """
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
     rm, sm = rho.mat, sigma.mat
     if rm.shape[0] > 16:
         raise ValidationError("exact solver is limited to dim <= 16")
+    if rho.trace <= eps:
+        return -math.inf
     dm = d_max(rm, sm)
     if not dm.finite:
         raise ValidationError("smooth_dmax_exact requires supp(rho) in supp(sigma)")
-    hi = dm.bits
-    feasible_hi, res = _dykstra_ball_feasible(rm, sm, eps, 2.0**hi, tol, max_iter)
-    if not feasible_hi:
-        raise SolverError("feasibility failed at the unsmoothed optimum", residuals=res)
-    lo = max(math.log2(max(rho.trace - eps, 2.0 ** (dm.bits - 60.0))), dm.bits - 60.0)
-    if lo >= hi:
-        return hi
-    if _dykstra_ball_feasible(rm, sm, eps, 2.0**lo, tol, max_iter)[0]:
-        return lo
-    while hi - lo > bit_resolution:
-        mid = (lo + hi) / 2
-        if _dykstra_ball_feasible(rm, sm, eps, 2.0**mid, tol, max_iter)[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    spec = Spectrum.of(sm)
+    v = spec.eigenvectors[:, spec.support]
+    w = spec.eigenvalues[spec.support] * 2.0**dm.bits
+    r = len(w)
+    sig = np.diag(w).astype(complex)
+    rc = hermitian_part(v.conj().T @ rm @ v)
+    tr = float(np.trace(rc).real)
+    basis = hermitian_basis(r)
+    none = np.zeros_like(basis)
+    tr_basis = np.trace(basis, axis1=1, axis2=2)[:, None, None]
+
+    def coefficients(of_rho_bar, of_p, of_t):
+        return np.concatenate([of_rho_bar, of_p, of_t[None]])
+
+    zero, scalar_zero = np.zeros((r, r)), np.zeros((1, 1))
+    blocks = (
+        (zero, coefficients(basis, none, zero)),                              # rho_bar
+        (zero, coefficients(-basis, none, sig)),                              # t sigma - rho_bar
+        (zero, coefficients(none, basis, zero)),                              # P
+        (rc, coefficients(-basis, basis, zero)),                              # N
+        ([[eps - tr]], coefficients(tr_basis, -2 * tr_basis, scalar_zero)),  # eps - Tr(P + N)
+        ([[tr]], coefficients(-tr_basis, 0 * tr_basis, scalar_zero)),       # Tr rho - Tr rho_bar
+    )
+    # strictly feasible start: a = eps / (4 Tr rho), b = eps / (8 Tr sigma),
+    # rho_bar = (1 - a) rho + b sigma, P = 2 b sigma, t = 1 + b; every slack
+    # is then at least b sigma, a rho, 3 eps / 8 or eps / 8
+    a, b = eps / (4 * tr), eps / (8 * w.sum())
+    x0 = np.concatenate([hermitian_coordinates(basis, (1 - a) * rc + b * sig),
+                         hermitian_coordinates(basis, 2 * b * sig), [1 + b]])
+    # dual start: Tr sigma Z_2 = 1, Z_1 = Z_2 + Z_4 + (z_6 - z_5) I, Z_3 + Z_4 = 2 z_5 I
+    eye = np.eye(r)
+    z0 = (eye / w.sum() + eye, eye / w.sum(), eye, eye, np.eye(1), np.eye(1))
+    c = np.zeros(len(x0))
+    c[-1] = 1.0
+    x, _ = solve_lmi(c, blocks, x0, z0)
+    return math.log2(x[-1]) + dm.bits
 
 
 def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float,
@@ -358,7 +299,7 @@ def smooth_dmax_exact_classical(p, q, eps: float) -> float:
 
     +inf when the p-mass on {q = 0} exceeds eps; -inf when the total p-mass is
     at most eps (t = 0 is feasible).  Serves as the independent oracle for the
-    Dykstra solver.
+    semidefinite program of ``smooth_dmax_exact``.
     """
     with np.errstate(divide="ignore"):
         return smooth_dmax_exact_log(np.log(np.asarray(p, dtype=float)),

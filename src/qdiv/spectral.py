@@ -182,7 +182,10 @@ def _classical_smooth_dmin_types(table: TypeTable, eps: float) -> float:
     # unless rho has no support at all
     j = np.flatnonzero(feasible)[0] if feasible.any() else len(order) - 1
     kept = np.where(np.isneginf(log_p[: j + 1]), -np.inf, table.log_q[order][: j + 1])
-    return float(-logsumexp(kept) / math.log(2.0))
+    # a kept sigma-mass is at most 1, so the value is >= 0; the floor removes
+    # rounding below zero, and max keeps its first argument on a tie, which
+    # turns -0.0 into +0.0
+    return max(0.0, float(-logsumexp(kept) / math.log(2.0)))
 
 
 def rate_curve(pair: IIDPair, eps: float, n_list) -> list:

@@ -405,7 +405,7 @@ def chk_emax_local_unitary_invariance(rng, dim):
     low2 = ent.ppt_emax_lower(rotated)
     return max(res2.upper_bits - res1.upper_bits - 1e-6,
                up1b - res2.upper_bits - 1e-6,
-               abs(low1 - low2) - 1e-4)
+               abs(low1 - low2) - 1e-6)
 
 
 def _map_terms_local(terms, ca, cb):
@@ -525,7 +525,7 @@ CHECKS = (
     ("smoothing_certificate", chk_smoothing_certificate, 1e-7, 1),
     ("smoothing_budget", chk_smoothing_budget, 1e-7, 1),
     ("smooth_order", chk_smooth_order, 1e-6, 2),
-    ("smooth_exact_classical_crosscheck", chk_smooth_exact_classical_crosscheck, 2e-3, 10),
+    ("smooth_exact_classical_crosscheck", chk_smooth_exact_classical_crosscheck, 1e-8, 10),
     ("dmax_positivity_zero_equality", chk_dmax_positivity_zero_equality, 1e-8, 1),
     ("dmax_unitary_invariance", chk_dmax_unitary_invariance, 1e-8, 1),
     ("dmax_partial_trace_monotone", chk_dmax_partial_trace_monotone, 1e-8, 1),

@@ -124,6 +124,19 @@ def test_converge_csv_shape(runner, files):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[4]) == pytest.approx(0.188722, abs=1e-6)
+    assert all(line.split(",")[3] == "0" for line in lines[1:])
+
+
+def test_solver_error_exit_code_reports_iterations(runner, files, monkeypatch):
+    from qdiv import _sdp
+
+    monkeypatch.setattr(_sdp, "MAX_ITER", 1)
+    res = runner.invoke(main, ["smooth", "--quantity", "dmax", "--mode", "exact",
+                               "--eps", "0.2", "--rho", str(files / "rho9.json"),
+                               "--sigma", str(files / "sigma.json")])
+    assert res.exit_code == 2
+    assert "solver did not converge" in res.output
+    assert "iterations 1" in res.output and "residuals (" in res.output
 
 
 def test_converge_fast_classical_rejects_noncommuting(runner, files, tmp_path):

@@ -11,7 +11,12 @@ from qdiv.entanglement import (
     ppt_emax_lower,
     rel_ent_entanglement,
 )
-from qdiv.operators import DensityOperator, ValidationError
+from qdiv.operators import (
+    DensityOperator,
+    ValidationError,
+    partial_trace_matrix,
+    random_pure_bipartite,
+)
 
 
 def bell_state():
@@ -75,6 +80,35 @@ def test_ppt_lower_monotone_in_visibility():
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-3
     assert values[-1] <= 1e-3
+
+
+def schmidt_state(lam):
+    v = np.zeros(4, dtype=complex)
+    v[0], v[3] = np.sqrt(lam), np.sqrt(1 - lam)
+    return BipartiteState(dims=(2, 2), state=DensityOperator.from_matrix(np.outer(v, v.conj())))
+
+
+def test_ppt_lower_pure_state_oracle():
+    # E_max of a pure state is 2 log2 sum_i sqrt(lambda_i); in 2 x 2 the PPT
+    # bound equals it, and being certified it never lies above it
+    cases = [(schmidt_state(0.7), 0.9384853944), (schmidt_state(0.8), 0.8479969066)]
+    for s in (0, 1, 2):
+        state = random_pure_bipartite(2, 2, np.random.default_rng(s))
+        lam = np.clip(np.linalg.eigvalsh(partial_trace_matrix(state.mat, (2, 2), "B")), 0, None)
+        cases.append((BipartiteState(dims=(2, 2), state=state),
+                      2 * np.log2(np.sqrt(lam).sum())))
+    for state, exact in cases:
+        lower = ppt_emax_lower(state)
+        assert lower == pytest.approx(exact, abs=1e-6)
+        assert lower <= exact
+
+
+def test_ppt_lower_isotropic_oracle():
+    # log2((1 + 3 v) / 2) for two-qubit isotropic states with v > 1/3
+    for v, exact in ((0.9, 0.8875252707), (0.7, 0.6322682155), (0.5, 0.3219280949)):
+        lower = ppt_emax_lower(isotropic(v))
+        assert lower == pytest.approx(exact, abs=1e-6)
+        assert lower <= np.log2((1 + 3 * v) / 2)
 
 
 def test_emax_product_state_near_zero():

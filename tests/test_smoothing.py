@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdiv.divergences import d_max, d_min
-from qdiv.operators import DensityOperator, ValidationError, random_density
+from qdiv.operators import DensityOperator, ValidationError, random_density, random_unitary
 from qdiv.smoothing import (
     EpsilonBall,
     lemma5_smooth,
@@ -67,7 +67,30 @@ def test_smooth_dmax_upper_dominates_exact():
 
 def test_smooth_dmax_exact_frozen_value():
     val = smooth_dmax_exact(RHO, SIGMA, 0.2)
-    assert val == pytest.approx(math.log2(1.4), abs=1e-3)
+    assert val == pytest.approx(math.log2(1.4), abs=1e-8)
+
+
+def test_smooth_dmax_exact_singular_sigma():
+    # rank-1 sigma containing supp(rho): only mass can be removed, so the
+    # value is log2(1 - eps)
+    pure = np.zeros((4, 4), dtype=complex)
+    pure[0, 0] = 1.0
+    state = DensityOperator.from_matrix(pure)
+    assert smooth_dmax_exact(state, state, 0.1) == pytest.approx(math.log2(0.9), abs=1e-8)
+    # rank-2 sigma on a rotated subspace: the classical value on the support
+    u = random_unitary(4, 5)
+    rho = DensityOperator.from_matrix(u @ np.diag([0.6, 0.4, 0, 0]).astype(complex) @ u.conj().T)
+    sigma = DensityOperator.from_matrix(u @ np.diag([0.2, 0.8, 0, 0]).astype(complex) @ u.conj().T)
+    assert smooth_dmax_exact(rho, sigma, 0.15) == pytest.approx(
+        smooth_dmax_exact_classical((0.6, 0.4), (0.2, 0.8), 0.15), abs=1e-8)
+
+
+def test_smooth_dmax_exact_edges():
+    # total mass at most eps: rho_bar = 0 lies in the ball
+    light = DensityOperator.from_matrix(np.diag([0.05, 0.05]).astype(complex))
+    assert smooth_dmax_exact(light, SIGMA, 0.2) == -math.inf
+    with pytest.raises(ValidationError):
+        smooth_dmax_exact(RHO, SIGMA, 0.0)
 
 
 def test_smooth_dmax_exact_below_upper():
@@ -127,7 +150,7 @@ def test_smooth_dmax_exact_classical_frozen():
     assert smooth_dmax_exact_classical((0.1, 0.0), (0.0, 1.0), 0.2) == -math.inf
 
 
-def test_smooth_dmax_exact_classical_matches_dykstra():
+def test_smooth_dmax_exact_classical_matches_dense():
     rng = np.random.default_rng(31)
     for _ in range(5):
         p = rng.dirichlet(np.ones(4))
@@ -136,7 +159,29 @@ def test_smooth_dmax_exact_classical_matches_dykstra():
         sigma = DensityOperator.from_matrix(np.diag(q).astype(complex))
         classical = smooth_dmax_exact_classical(p, q, 0.15)
         dense = smooth_dmax_exact(rho, sigma, 0.15)
-        assert dense == pytest.approx(classical, abs=2e-3)
+        assert dense == pytest.approx(classical, abs=1e-8)
+
+
+def test_exact_solvers_eig_calls(monkeypatch):
+    # the interior-point solves replace bisections over alternating
+    # projections that took 56,153 (PPT bound on the Bell state) and 161,407
+    # (smooth D_max on a 4 x 4 pair) eigendecompositions; allow 1 % of those
+    from qdiv.entanglement import BipartiteState, ppt_emax_lower
+
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    v = np.zeros(4, dtype=complex)
+    v[0] = v[3] = 1 / np.sqrt(2)
+    bell = DensityOperator.from_matrix(np.outer(v, v.conj()))
+    ppt_emax_lower(BipartiteState(dims=(2, 2), state=bell))
+    assert len(calls) <= 561
+    calls.clear()
+    rng = np.random.default_rng(4)
+    smooth_dmax_exact(random_density(4, 4, rng), random_density(4, 4, rng), 0.1)
+    assert len(calls) <= 1614
 
 
 def test_epsilon_ball_membership():

@@ -121,6 +121,14 @@ def test_rate_curve_fast_path_large_n():
             assert pt.dmin_over_n == pytest.approx(dmin_over_n, abs=1e-10)
 
 
+def test_rate_curve_zero_dmin_rate_is_positive_zero():
+    # diag(.75, .25) against I/2 keeps all of sigma's mass at n <= 5; the rate
+    # is exactly 0, never -0.0 or a rounding-level negative
+    for pt in rate_curve(PAIR, 0.05, [1, 2, 3, 4, 5]):
+        assert pt.dmin_over_n == 0.0
+        assert math.copysign(1.0, pt.dmin_over_n) == 1.0
+
+
 def test_divergence_rate_estimate_equal_states():
     pair = IIDPair(rho=SIGMA, sigma=SIGMA)
     est = divergence_rate_estimate(pair, 0.05, 8)
