@@ -3,8 +3,10 @@
 E_max(rho) = min over separable sigma of D_max(rho||sigma) is estimated with a
 two-sided certificate: an upper bound from an explicit separable ensemble
 (reassemblable by the caller) and a convex lower bound from the PPT relaxation,
-certified by a feasible point of its dual semidefinite program.  Exactness
-claims are confined to 2x2 and 2x3 systems where PPT equals separable.
+certified by a feasible point of its dual semidefinite program.  In 2x2, where
+PPT equals separable, the ensemble is the PPT optimum itself, decomposed into
+at most four product states, and the gap is below 1e-6.  Larger systems search
+for the ensemble by bisection over conditional-gradient feasibility.
 """
 
 from __future__ import annotations
@@ -135,17 +137,93 @@ def ppt_emax_lower(state: BipartiteState) -> float:
     if is_ppt(state):
         return 0.0
     rm, dims, d = state.state.mat, state.dims, state.state.dim
-    basis = hermitian_basis(d)
+    basis, pt_basis = _pt_basis(dims)
     eye = np.eye(d)
     # blocks Z >= 0 and I - Z^TB >= 0; the solver's multipliers of these are
     # Y - rho and Y^TB, started from Y = 2 I (rho <= I)
-    blocks = ((np.zeros((d, d)), basis),
-              (eye, -np.array([_pt_matrix(e, dims, "B") for e in basis])))
+    blocks = ((np.zeros((d, d)), basis), (eye, -pt_basis))
     x, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
                      hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
     z = Spectrum.of(np.tensordot(x, basis, 1)).apply(lambda w: np.clip(w, 0.0, None))
     shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims, "B"))[0]))
     return math.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
+
+
+def _pt_basis(dims: tuple) -> tuple:
+    """The Hermitian basis of the bipartite space and its partial transposes."""
+    basis = hermitian_basis(dims[0] * dims[1])
+    return basis, np.array([_pt_matrix(e, dims, "B") for e in basis])
+
+
+def _ppt_optimum(rm: np.ndarray, dims: tuple) -> np.ndarray:
+    """The PPT state sigma* = Y / Tr Y that attains the PPT bound, from the
+    primal program min{Tr Y : Y - rho >= 0, Y^TB >= 0}, started from Y = 2 I
+    with dual point (I/2, I/2).  Y is a primal iterate of the solver, so both
+    slacks are positive definite: sigma* has full rank, is strictly PPT, and
+    rho <= Tr Y sigma*."""
+    d = rm.shape[0]
+    basis, pt_basis = _pt_basis(dims)
+    eye = np.eye(d)
+    x, _ = solve_lmi(hermitian_coordinates(basis, eye),
+                     ((-rm, basis), (np.zeros((d, d)), pt_basis)),
+                     hermitian_coordinates(basis, 2 * eye), (eye / 2, eye / 2))
+    y = np.tensordot(x, basis, 1)
+    return y / float(np.trace(y).real)
+
+
+# ---------------------------------------------------------------------------
+# Exact two-qubit witness: the PPT optimum as a mixture of product states
+# ---------------------------------------------------------------------------
+
+WITNESS_MIX = 1e-9
+# sigma_y (x) sigma_y, the spin flip of Wootters' concurrence
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+# the orthogonal +-1/2 mix that spreads zero preconcurrence over four vectors
+_HALF_HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1],
+                                 [1, -1, 1, -1], [1, -1, -1, 1]])
+
+
+def _wootters_vectors(sigma: np.ndarray) -> np.ndarray:
+    """Four product vectors z_k, as columns, with sum_k |z_k><z_k| = sigma,
+    for a full-rank two-qubit state of zero concurrence (Wootters, PRL 80,
+    2245 (1998)).
+
+    With sigma = V V^dag, V = eigvecs sqrt(eigvals), the symmetric matrix
+    tau = V^dag (sigma_y (x) sigma_y) conj(V) is Takagi-factored as
+    U diag(lam) U^T through the real symmetric embedding
+    [[Re tau, Im tau], [Im tau, -Re tau]], whose positive half holds the
+    vectors [Re u; Im u].  X = V U then has preconcurrences
+    <x_i|x~_j> = lam_i delta_ij.  Phases with lam_1 e^{i a_1} + ... +
+    lam_4 e^{i a_4} = 0 exist when lam_1 <= lam_2 + lam_3 + lam_4 (zero
+    concurrence); a_3 = a_4 closes the triangle with sides lam_1, lam_2,
+    lam_3 + lam_4.  The rows of the +-1/2 orthogonal mix of the rephased x_j
+    then all have preconcurrence sum_j lam_j e^{i a_j} / 4 = 0, which makes
+    each a product vector.  Rounding only leaves them nearly product.
+    """
+    w, v = np.linalg.eigh(sigma)
+    vm = v * np.sqrt(np.clip(w, 0.0, None))
+    tau = vm.conj().T @ _SPIN_FLIP @ vm.conj()
+    lam, q = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    lam, q = lam[:3:-1], q[:, :3:-1]
+    x = vm @ (q[:4] + 1j * q[4:])
+    side = lam[2] + lam[3]
+    cos_a = np.clip((side**2 - lam[0]**2 - lam[1]**2) / (2 * lam[0] * lam[1]), -1.0, 1.0)
+    e_a = complex(cos_a, math.sqrt(1.0 - cos_a**2))
+    e_b = -(lam[0] + lam[1] * e_a)
+    e_b /= abs(e_b)
+    phases = np.array([1.0, e_a, e_b, e_b])
+    return (x * np.sqrt(phases.conj())) @ _HALF_HADAMARD.T
+
+
+def _wootters_terms(sigma: np.ndarray) -> list:
+    """(weight, a, b) terms of ``_wootters_vectors``: the top singular pair of
+    each vector reshaped to 2 x 2; zero weights are dropped."""
+    terms = []
+    for z in _wootters_vectors(sigma).T:
+        u_, s, vt = np.linalg.svd(z.reshape(2, 2))
+        if s[0] > 0:
+            terms.append((float(s[0] ** 2), u_[:, 0], vt[0]))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +325,8 @@ def _schmidt_terms(rm: np.ndarray, dims: tuple) -> list:
 def _separable_feasibility(rm: np.ndarray, dims: tuple, t: float, terms,
                            iters: int, max_terms: int):
     """Conditional-gradient ascent of lambda_min(t sigma - rho) over the
-    separable set; returns (achieved lambda_min, terms)."""
+    separable set; returns (lambda_min, terms) for the working ensemble,
+    which is pruned back to max_terms whenever it grows past twice that."""
     terms = list(terms)
     sigma = _mixture_matrix(terms)
     vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
@@ -284,7 +363,7 @@ def _separable_feasibility(rm: np.ndarray, dims: tuple, t: float, terms,
         sigma = _mixture_matrix(terms)
         vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
         cur = vals[0]
-    return cur, _prune_terms(terms, max_terms)
+    return cur, terms
 
 
 def _ensemble_from_terms(terms) -> SeparableEnsemble:
@@ -296,26 +375,42 @@ def _ensemble_from_terms(terms) -> SeparableEnsemble:
 
 
 def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
-         seed=0, iters: int = 300, initial: list = None) -> EmaxResult:
-    """Two-sided E_max estimate: separable-ensemble upper bound by bisection
-    plus conditional-gradient feasibility, PPT relaxation lower bound.
+         seed=0, iters: int = 300) -> EmaxResult:
+    """Two-sided E_max estimate: an upper bound D_max(rho||sigma_sep) against
+    an explicit separable witness, and the PPT relaxation lower bound.
 
-    ``initial`` optionally seeds the search with known (weight, a, b) product
-    terms, e.g. a decomposition the caller already holds."""
+    In 2x2 the witness is the PPT optimum itself, decomposed into product
+    states (``_wootters_terms``), so the gap is below 1e-6.  Larger systems
+    search for the witness by bisection plus conditional-gradient
+    feasibility; ``terms``, ``restarts``, ``seed`` and ``iters`` tune only
+    that search."""
+    rm = state.state.mat
+    lower = ppt_emax_lower(state)
+    if state.dims == (2, 2):
+        optimum = _ppt_optimum(rm, state.dims)
+        best_terms = _wootters_terms((1.0 - WITNESS_MIX) * optimum + WITNESS_MIX * np.eye(4) / 4)
+    else:
+        best_terms = _searched_terms(state, lower, terms, restarts, seed, iters)
+    witness = _ensemble_from_terms(best_terms)
+    upper = d_max(rm, witness.assemble().mat).bits
+    return EmaxResult(upper_bits=upper, lower_bits=min(lower, upper),
+                      witness=witness, gap=max(upper - min(lower, upper), 0.0))
+
+
+def _searched_terms(state: BipartiteState, lower: float, terms, restarts, seed,
+                    iters) -> list:
+    """Product terms of a separable state close to the optimum, found by a
+    bisection on D_max over conditional-gradient feasibility searches."""
     da, db = state.dims
     rm = state.state.mat
     max_terms = terms if terms is not None else (da * db) ** 2
     rng = _rng(seed)
-    if initial is not None:
-        base = list(initial)
-    else:
-        base = _schmidt_terms(rm, state.dims)
-        if not d_max(rm, _mixture_matrix(base)).finite:
-            base = base + _basis_terms(state.dims)
-            base = [(0.5 * w, a, b) for w, a, b in base]
+    base = _schmidt_terms(rm, state.dims)
+    if not d_max(rm, _mixture_matrix(base)).finite:
+        base = base + _basis_terms(state.dims)
+        base = [(0.5 * w, a, b) for w, a, b in base]
     best_terms = base
     upper = d_max(rm, _mixture_matrix(base)).bits
-    lower = ppt_emax_lower(state)
     for restart in range(max(restarts, 1)):
         lo, hi = max(lower - 2e-3, 0.0), upper
         start = list(best_terms) if restart == 0 else _random_product_terms(state.dims, rng, max_terms)
@@ -344,10 +439,7 @@ def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
             if exact >= upper:
                 break
             upper, best_terms = exact, cand
-    witness = _ensemble_from_terms(best_terms)
-    upper = d_max(rm, witness.assemble().mat).bits
-    return EmaxResult(upper_bits=upper, lower_bits=min(lower, upper),
-                      witness=witness, gap=max(upper - min(lower, upper), 0.0))
+    return best_terms
 
 
 def _random_product_terms(dims, rng, count) -> list:
@@ -387,14 +479,17 @@ def _log_gradient(rm: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return hermitian_part(v @ (phi * inner) @ v.conj().T)
 
 
-def rel_ent_entanglement(state: BipartiteState, terms: int = None, seed=0,
+def rel_ent_entanglement(state: BipartiteState, terms: int = None,
                          iters: int = 400) -> float:
     """Upper bound on the relative entropy of entanglement: conditional-gradient
-    minimization of S(rho||sigma) over separable ensembles."""
+    minimization of S(rho||sigma) over separable ensembles.  The search starts
+    from the witness of ``emax`` and takes descent steps only, so the value is
+    at most S(rho||sigma_wit) + 1.5e-6 <= E_max upper bound + 1.5e-6 (the
+    1.5e-6 is the cost of BARRIER_WEIGHT)."""
     rm = state.state.mat
     da, db = state.dims
     max_terms = terms if terms is not None else (da * db) ** 2
-    ens = _basis_terms(state.dims)
+    ens = list(emax(state).witness.terms)
     sigma = _mixture_matrix(ens)
     cur = _rel_ent_objective(rm, sigma)
     eta_grid = (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02, 0.008, 0.003, 0.001)
@@ -410,12 +505,15 @@ def rel_ent_entanglement(state: BipartiteState, terms: int = None, seed=0,
                 best_eta, best_val = eta, val
         if best_eta == 0.0:
             break
-        ens = [(w * (1.0 - best_eta), av, bv) for w, av, bv in ens]
-        ens.append((best_eta, a, b))
-        if len(ens) > 2 * max_terms:
-            ens = _prune_terms(ens, max_terms)
-        sigma = _mixture_matrix(ens)
-        cur = _rel_ent_objective(rm, sigma)
+        cand = [(w * (1.0 - best_eta), av, bv) for w, av, bv in ens]
+        cand.append((best_eta, a, b))
+        if len(cand) > 2 * max_terms:
+            cand = _prune_terms(cand, max_terms)
+        cand_sigma = _mixture_matrix(cand)
+        val = _rel_ent_objective(rm, cand_sigma)
+        if val >= cur:   # pruning can undo the step
+            break
+        ens, sigma, cur = cand, cand_sigma, val
     return cur
 
 

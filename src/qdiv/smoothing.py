@@ -144,7 +144,7 @@ def smooth_dmax_upper(rho: DensityOperator, sigma: DensityOperator, eps: float,
     certificate achieving it.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValidationError("eps must be positive")
     dm = d_max(rho.mat, sigma.mat)
     if not dm.finite:
         raise ValidationError("smooth_dmax_upper requires supp(rho) in supp(sigma)")
@@ -240,7 +240,7 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float,
     and its min-relative entropy to sigma is an achieved feasible value.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValidationError("eps must be positive")
     rm, sm = rho.mat, sigma.mat
     base = d_min(rm, sm)
     best = base.bits if base.finite else -math.inf

@@ -139,6 +139,17 @@ def test_solver_error_exit_code_reports_iterations(runner, files, monkeypatch):
     assert "iterations 1" in res.output and "residuals (" in res.output
 
 
+@pytest.mark.parametrize("quantity", ["dmax", "dmin"])
+def test_smooth_bound_eps_zero_is_validation_error(runner, files, quantity):
+    res = runner.invoke(main, ["smooth", "--quantity", quantity, "--mode", "bound",
+                               "--eps", "0", "--rho", str(files / "rho.json"),
+                               "--sigma", str(files / "sigma.json")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "validation error: eps must be positive" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_converge_fast_classical_rejects_noncommuting(runner, files, tmp_path):
     mat = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     write_state_file(tmp_path / "nc.json", mat)
