@@ -33,7 +33,25 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
+    """(A + A^dag) / 2 of a matrix, or of each matrix of a (k, d, d) stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2
+
+
+def _check_hermitian(mat: np.ndarray) -> None:
+    """Raise unless the matrix, or every matrix of a stack, is Hermitian to
+    HERMITICITY_TOL relative to its largest entry (at least 1)."""
+    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (dev > HERMITICITY_TOL * np.abs(mat).max(axis=(-2, -1), initial=1.0)).any():
+        raise ValidationError(f"matrix is not Hermitian (max deviation {np.max(dev):.3e})")
+
+
+def _check_projectors(mat: np.ndarray, rank) -> None:
+    """Raise unless the Hermitian matrix, or every matrix of a stack, is
+    idempotent with trace equal to its rank."""
+    if (np.abs(mat @ mat - mat).max(axis=(-2, -1)) > 1e-10).any():
+        raise ValidationError("operator is not idempotent")
+    if (np.abs(mat.trace(axis1=-2, axis2=-1).real - rank) > 1e-8).any():
+        raise ValidationError("rank does not match trace")
 
 
 @dataclass(frozen=True)
@@ -46,9 +64,7 @@ class HermitianOperator:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > HERMITICITY_TOL * max(1.0, np.abs(mat).max()):
-            raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        _check_hermitian(mat)
         mat = hermitian_part(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -104,11 +120,7 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        mat = self.op.mat
-        if np.abs(mat @ mat - mat).max() > 1e-10:
-            raise ValidationError("operator is not idempotent")
-        if abs(self.op.trace() - self.rank) > 1e-8:
-            raise ValidationError("rank does not match trace")
+        _check_projectors(self.op.mat, self.rank)
 
     @property
     def mat(self) -> np.ndarray:
@@ -126,7 +138,8 @@ class Spectrum:
 
     The one spectral kernel: every function of an operator is ``apply`` on
     one factorization, so an operator needed under several functions is
-    factored once.
+    factored once.  A (k, d, d) stack of operators is factored by one batched
+    ``eigh``; ``support`` and ``apply`` then act on each member.
     """
 
     eigenvalues: np.ndarray
@@ -139,9 +152,10 @@ class Spectrum:
 
     @property
     def support(self) -> np.ndarray:
-        """Mask of the eigenvalues above SUPPORT_RTOL * lambda_max."""
+        """Mask of the eigenvalues above SUPPORT_RTOL * lambda_max (empty when
+        lambda_max <= 0, since every eigenvalue is then at most that bound)."""
         w = self.eigenvalues
-        return w > max(SUPPORT_RTOL * w[-1], 0.0)
+        return w > SUPPORT_RTOL * w[..., -1:]
 
     def apply(self, fn, on_support: bool = False) -> np.ndarray:
         """V fn(W) V^dag; with ``on_support`` fn sees only the support
@@ -154,7 +168,7 @@ class Spectrum:
         else:
             vals = fn(w)
         v = self.eigenvectors
-        return (v * vals) @ v.conj().T
+        return (v * vals[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -196,6 +210,30 @@ _RELATIONS = {
 }
 
 
+def _spectral_projectors(diffs: np.ndarray, relation: str) -> tuple:
+    """Unchecked spectral projectors {D rel 0} and their ranks, for one
+    operator D or a (k, d, d) stack of them."""
+    spec = Spectrum.of(diffs)
+    keep = _RELATIONS[relation](spec.eigenvalues)
+    return spec.apply(lambda w: keep), keep.sum(axis=-1)
+
+
+def _projector_stack(diffs: np.ndarray, relation: str) -> tuple:
+    """Spectral projectors {D_k rel 0} of a (k, d, d) stack of operators D_k
+    and their ranks, from one batched ``eigh`` and one batched matmul.
+
+    Every projector passes the checks that ``HermitianOperator`` and
+    ``Projector`` make on the one projector of ``compare_projector``
+    (Hermitian, idempotent, trace equal to rank) before it is returned, in its
+    Hermitian part.
+    """
+    proj, ranks = _spectral_projectors(diffs, relation)
+    _check_hermitian(proj)
+    proj = hermitian_part(proj)
+    _check_projectors(proj, ranks)
+    return proj, ranks
+
+
 def compare_projector(a, b, relation: str = ">=") -> Projector:
     """Spectral projector {A rel B}, i.e. onto eigenvectors of A - B whose
     eigenvalues satisfy the relation against zero.
@@ -208,9 +246,8 @@ def compare_projector(a, b, relation: str = ">=") -> Projector:
     am, bm = _as_matrix(a), _as_matrix(b)
     if am.shape != bm.shape:
         raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    spec = Spectrum.of(am - bm)
-    keep = _RELATIONS[relation](spec.eigenvalues)
-    return Projector(HermitianOperator(spec.apply(lambda w: keep)), rank=int(keep.sum()))
+    proj, rank = _spectral_projectors(am - bm, relation)
+    return Projector(HermitianOperator(proj), rank=int(rank))
 
 
 def support_projector(rho) -> Projector:

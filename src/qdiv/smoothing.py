@@ -8,6 +8,12 @@ Three layers:
     max-relative entropy; exact classical routines on weight vectors that
     double as oracles for the general case).
 
+The projector sweep evaluates its 512-point grid in stacks of at most
+SWEEP_CHUNK_ENTRIES = 2^14 matrix entries (16 matrices at d = 32): one batched
+``eigh`` and one batched matmul give a stack's projectors, checked as
+``compare_projector`` checks one, and a second batched ``eigh`` gives the
+supports of the feasible compressions.
+
 ``SolverError`` is re-exported here from ``qdiv._sdp``.
 """
 
@@ -27,10 +33,22 @@ from .operators import (
     Spectrum,
     ValidationError,
     _as_matrix,
+    _projector_stack,
     compare_projector,
     hermitian_part,
     trace_distance,
 )
+
+# Matrix entries per stack of the smooth D_min projector sweep: 16 matrices at
+# d = 32.  Whole-grid stacks raise peak memory with the dimension, where this
+# bound keeps the sweep's temporaries near a megabyte.
+SWEEP_CHUNK_ENTRIES = 1 << 14
+
+# T^dag T <= I, so Tr T rho T^dag <= Tr rho.  beta^{-1/2} is taken on
+# eigenvalues down to SUPPORT_RTOL times the largest, whose relative rounding
+# reaches about machine epsilon / SUPPORT_RTOL = 2.2e-6; a computed trace
+# excess up to this relative size is rounding and is scaled away.
+CONTRACTION_TRACE_RTOL = 1e-6
 
 
 class CertificateError(RuntimeError):
@@ -96,18 +114,32 @@ def lemma5_smooth(rho: DensityOperator, sigma: DensityOperator, lambda_bits: flo
 
     Splits rho - 2^lambda sigma into orthogonal positive parts, sets
     alpha = 2^lambda sigma, beta = alpha + positive part, and applies
-    T = alpha^{1/2} beta^{-1/2}.  The returned certificate is checked before
+    T = alpha^{1/2} beta^{-1/2}; at lambda >= D_max(rho||sigma) that is the
+    identity on rho.  A contracted trace above Tr rho by at most
+    CONTRACTION_TRACE_RTOL (relative) is rescaled to Tr rho; a larger excess
+    raises ``CertificateError``.  The returned certificate is checked before
     being handed back.
     """
     t = 2.0**lambda_bits
     rm, sm = rho.mat, sigma.mat
-    delta = hermitian_part(Spectrum.of(rm - t * sm).apply(_positive_part))
-    alpha = t * sm
-    beta = alpha + delta
-    transform = (Spectrum.of(alpha).apply(lambda w: np.sqrt(_positive_part(w)))
-                 @ Spectrum.of(beta).apply(lambda w: 1.0 / np.sqrt(w), on_support=True))
-    # clip tiny negative rounding noise so the result is a valid operator
-    smoothed_mat = Spectrum.of(transform @ rm @ transform.conj().T).apply(_positive_part)
+    if d_max(rm, sm).bits <= lambda_bits:
+        # rho <= 2^lambda sigma: delta = 0 and T rho T^dag = rho exactly, which
+        # the square roots below reproduce only to rounding that grows with the
+        # condition number of sigma
+        delta, smoothed_mat = np.zeros_like(rm), rm
+    else:
+        delta = hermitian_part(Spectrum.of(rm - t * sm).apply(_positive_part))
+        alpha = t * sm
+        beta = alpha + delta
+        transform = (Spectrum.of(alpha).apply(lambda w: np.sqrt(_positive_part(w)))
+                     @ Spectrum.of(beta).apply(lambda w: 1.0 / np.sqrt(w), on_support=True))
+        # clip tiny negative rounding noise so the result is a valid operator
+        smoothed_mat = Spectrum.of(transform @ rm @ transform.conj().T).apply(_positive_part)
+        excess = float(np.trace(smoothed_mat).real) / rho.trace - 1.0
+        if excess > CONTRACTION_TRACE_RTOL:
+            raise CertificateError(f"contraction raised the trace by a relative {excess:.3e}")
+        if excess > 0.0:
+            smoothed_mat = smoothed_mat / (1.0 + excess)
     cert = SmoothingCertificate(
         lambda_bits=float(lambda_bits),
         epsilon_used=math.sqrt(8.0 * max(float(np.trace(delta).real), 0.0)),
@@ -237,7 +269,8 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float,
 
     For each gamma on the grid, the compression P rho P with P = {rho >= 2^gamma sigma}
     stays in the ball whenever 2 sqrt(1 - Tr(P rho)) <= eps (gentle measurement),
-    and its min-relative entropy to sigma is an achieved feasible value.
+    and its min-relative entropy to sigma is an achieved feasible value.  The
+    grid runs in stacks of at most SWEEP_CHUNK_ENTRIES matrix entries.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
@@ -247,18 +280,22 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float,
     dmax_bits = d_max(rm, sm).bits
     hi = dmax_bits + 2.0 if math.isfinite(dmax_bits) else (base.bits if base.finite else 0.0) + 62.0
     lo = (base.bits if base.finite else 0.0) - 2.0
-    for gamma in np.linspace(lo, hi, grid_points):
-        p = compare_projector(rm, (2.0**gamma) * sm, ">=").mat
-        kept = float(np.trace(p @ rm).real)
-        delta = max(1.0 - kept, 0.0)
-        if 2.0 * math.sqrt(delta) > eps:
+    scales = 2.0 ** np.linspace(lo, hi, grid_points)
+    chunk = max(1, SWEEP_CHUNK_ENTRIES // rm.size)
+    for start in range(0, grid_points, chunk):
+        proj, _ = _projector_stack(rm - scales[start:start + chunk, None, None] * sm, ">=")
+        kept = np.einsum("kij,ji->k", proj, rm).real
+        proj = proj[2.0 * np.sqrt(np.maximum(1.0 - kept, 0.0)) <= eps]
+        compressed = proj @ rm @ proj
+        compressed = compressed[np.trace(compressed, axis1=1, axis2=2).real > 1e-300]
+        if not len(compressed):
             continue
-        compressed = hermitian_part(p @ rm @ p)
-        if float(np.trace(compressed).real) <= 1e-300:
-            continue
-        val = d_min(compressed, sm)
-        if val.finite and val.bits > best:
-            best = val.bits
+        # d_min of each compression: -log2 Tr(pi sigma) over its support projector pi
+        support = Spectrum.of(compressed).apply(np.ones_like, on_support=True)
+        overlap = np.einsum("kij,ji->k", support, sm).real
+        overlap = overlap[overlap > 0]
+        if len(overlap):
+            best = max(best, float(-np.log2(overlap.min())) + 0.0)
     return best
 
 

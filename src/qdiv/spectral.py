@@ -213,7 +213,9 @@ def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
         rho_n = tensor_power(pair.rho, n)
         sigma_n = tensor_power(pair.sigma, n)
         dmax_n = smooth_dmax_upper(rho_n, sigma_n, eps).lambda_bits
-        dmin_n = smooth_dmin_lower(rho_n, sigma_n, eps)
+        # sigma is a state, so D_min >= 0: as on the commuting path, the floor
+        # removes rounding below zero and max turns -0.0 into +0.0
+        dmin_n = max(0.0, smooth_dmin_lower(rho_n, sigma_n, eps))
         points.append(RatePoint(n=n, eps=eps, dmax_over_n=dmax_n / n,
                                 dmin_over_n=dmin_n / n, rel_entropy=rel.bits))
     return points

@@ -20,7 +20,7 @@ from qdiv.divergences import (
     relative_entropy,
     renyi_relative,
 )
-from qdiv.operators import DensityOperator, ValidationError, random_density
+from qdiv.operators import DensityOperator, Spectrum, ValidationError, random_density
 
 P = np.diag([0.75, 0.25]).astype(complex)
 Q = np.diag([0.5, 0.5]).astype(complex)
@@ -102,6 +102,48 @@ def test_chernoff_frozen_value():
     assert chernoff_bound(rho, Q).bits == pytest.approx(1.0, abs=1e-9)
 
 
+def _chernoff_matrix_powers(rho, sigma):
+    """Reference: the Chernoff search with the objective Tr rho^s sigma^{1-s}
+    formed from two matrix powers per evaluation."""
+    spec_r, spec_s = Spectrum.of(rho), Spectrum.of(sigma)
+    pi_r = spec_r.apply(np.ones_like, on_support=True)
+    pi_s = spec_s.apply(np.ones_like, on_support=True)
+
+    def f(s):
+        left = pi_r if s <= 0.0 else spec_r.apply(lambda w: w**s, on_support=True)
+        right = pi_s if s >= 1.0 else spec_s.apply(lambda w: w ** (1.0 - s), on_support=True)
+        return float(np.trace(left @ right).real)
+
+    grid = np.linspace(0.0, 1.0, 64)
+    vals = [f(s) for s in grid]
+    k = int(np.argmin(vals))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-10:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    best = min(min(vals), fc, fd)
+    return math.inf if best <= 0 else -math.log2(best)
+
+
+def test_chernoff_matches_matrix_powers():
+    rng = np.random.default_rng(43)
+    for trial in range(200):
+        dim = 2 + trial % 15
+        rho = random_density(dim, 1 + trial % dim, rng).mat
+        sigma = random_density(dim, dim if trial % 3 else 1 + trial % dim, rng).mat
+        value, reference = chernoff_bound(rho, sigma).bits, _chernoff_matrix_powers(rho, sigma)
+        assert value == reference or abs(value - reference) <= 1e-12
+
+
 def test_chernoff_dominates_dmin():
     rng = np.random.default_rng(11)
     for trial in range(100):
@@ -178,6 +220,7 @@ def test_sigma_factored_once(monkeypatch):
     assert count(d_max, rho, sigma) <= 2
     assert count(relative_entropy, rho, sigma) <= 2
     assert count(d_max, rho, singular) <= 3
+    assert count(chernoff_bound, rho, sigma) <= 2
 
 
 def test_sigma_must_be_psd():

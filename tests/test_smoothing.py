@@ -1,11 +1,21 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdiv.divergences import d_max, d_min
-from qdiv.operators import DensityOperator, ValidationError, random_density, random_unitary
+from qdiv.operators import (
+    DensityOperator,
+    ValidationError,
+    compare_projector,
+    hermitian_part,
+    random_density,
+    random_unitary,
+)
 from qdiv.smoothing import (
+    SWEEP_CHUNK_ENTRIES,
     EpsilonBall,
     lemma5_smooth,
     smooth_dmax_exact,
@@ -45,6 +55,26 @@ def test_lemma5_certificates_random():
         cert.validate()
         assert d_max(cert.smoothed.mat, sigma.mat).bits <= lam + 1e-7
         assert cert.smoothed.trace <= rho.trace + 1e-10
+
+
+def _ginibre_qubit(rng):
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def test_lemma5_near_dmax_on_ill_conditioned_sigma():
+    # sigma^(x)5 of a Gaussian qubit state has condition number near 1e9, and
+    # just below D_max the computed contraction lifts the trace above Tr rho
+    # by up to 5e-9 (relative); that rounding is scaled away
+    for seed in (22, 130, 132, 140):
+        rng = np.random.default_rng([seed, 7])
+        rho, sigma = (DensityOperator.from_matrix(functools.reduce(np.kron, [m] * 5))
+                      for m in (_ginibre_qubit(rng), _ginibre_qubit(rng)))
+        dm = d_max(rho.mat, sigma.mat).bits
+        for below in (0.0, 1e-9, 3e-9, 1e-8, 3e-8, 5.3e-8, 1e-7, 1e-6):
+            cert = lemma5_smooth(rho, sigma, dm - below)
+            assert cert.smoothed.trace <= rho.trace + 1e-15
 
 
 def test_smooth_dmax_upper_small_eps_recovers_dmax():
@@ -123,6 +153,75 @@ def test_smooth_dmin_lower_dominates_unsmoothed():
         sigma = random_density(3, 3, rng)
         assert (smooth_dmin_lower(rho, sigma, 0.3)
                 >= d_min(rho.mat, sigma.mat).bits - 1e-12)
+
+
+def _smooth_dmin_lower_per_point(rho, sigma, eps, grid_points=512):
+    """Reference: the projector sweep of ``smooth_dmin_lower``, one
+    ``compare_projector`` and one ``d_min`` per grid point."""
+    rm, sm = rho.mat, sigma.mat
+    base = d_min(rm, sm)
+    best = base.bits if base.finite else -math.inf
+    dmax_bits = d_max(rm, sm).bits
+    hi = dmax_bits + 2.0 if math.isfinite(dmax_bits) else (base.bits if base.finite else 0.0) + 62.0
+    lo = (base.bits if base.finite else 0.0) - 2.0
+    for gamma in np.linspace(lo, hi, grid_points):
+        p = compare_projector(rm, (2.0**gamma) * sm, ">=").mat
+        kept = float(np.trace(p @ rm).real)
+        delta = max(1.0 - kept, 0.0)
+        if 2.0 * math.sqrt(delta) > eps:
+            continue
+        compressed = hermitian_part(p @ rm @ p)
+        if float(np.trace(compressed).real) <= 1e-300:
+            continue
+        val = d_min(compressed, sm)
+        if val.finite and val.bits > best:
+            best = val.bits
+    return best
+
+
+def test_smooth_dmin_lower_matches_per_point_sweep():
+    rng = np.random.default_rng(41)
+    for trial in range(56):
+        dim = 1 + trial % 8
+        # every third pair has a rank-deficient rho, every fourth a singular sigma
+        rho = random_density(dim, max(1, dim - 1 - trial % 3) if trial % 3 == 0 else dim, rng)
+        sigma = random_density(dim, max(1, dim // 2) if trial % 4 == 0 else dim, rng)
+        eps = (0.02, 0.1, 0.3, 0.7)[trial % 4]
+        stacked = smooth_dmin_lower(rho, sigma, eps)
+        reference = _smooth_dmin_lower_per_point(rho, sigma, eps)
+        assert stacked == reference or abs(stacked - reference) <= 1e-12
+
+
+def _tensor_power_pair(n):
+    return tuple(DensityOperator.from_matrix(functools.reduce(np.kron, [state.mat] * n))
+                 for state in (random_density(2, 2, 1), random_density(2, 2, 2)))
+
+
+def test_smooth_dmin_lower_eig_calls(monkeypatch):
+    # two batched eigendecompositions per stack of the grid, plus the two
+    # each of d_min and d_max
+    rho, sigma = _tensor_power_pair(4)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    smooth_dmin_lower(rho, sigma, 0.1)
+    assert len(calls) <= 2 * math.ceil(512 / (SWEEP_CHUNK_ENTRIES // 16**2)) + 4
+
+
+def test_smooth_dmin_lower_peak_allocation():
+    # stacks of at most SWEEP_CHUNK_ENTRIES entries keep the sweep near 1.4 MB
+    # at d = 32; one stack of the whole grid would take tens of megabytes
+    rho, sigma = _tensor_power_pair(5)
+    smooth_dmin_lower(rho, sigma, 0.1)
+    tracemalloc.start()
+    try:
+        smooth_dmin_lower(rho, sigma, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_smooth_dmin_exact_classical_frozen():

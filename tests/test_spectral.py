@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdiv.divergences import relative_entropy
+from qdiv.divergences import d_max, relative_entropy
 from qdiv.operators import DensityOperator, ValidationError, random_density
 from qdiv.spectral import (
     IIDPair,
@@ -127,6 +127,40 @@ def test_rate_curve_zero_dmin_rate_is_positive_zero():
     for pt in rate_curve(PAIR, 0.05, [1, 2, 3, 4, 5]):
         assert pt.dmin_over_n == 0.0
         assert math.copysign(1.0, pt.dmin_over_n) == 1.0
+
+
+def _ginibre_qubit(rng):
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def test_rate_curve_dense_near_singular_sigma():
+    # sigma's eigenvalues are 0.0123 and 0.9877, so sigma^(x)5 has condition
+    # number 3e9; there the contraction at lambda = D_max used to lift the
+    # smoothed trace to 1 + 1.2e-8 and fail the state check.  n = 6 still
+    # raises the support error: sigma^(x)6 falls below SUPPORT_RTOL, which
+    # waits for the Schur-Weyl block representation (ROADMAP.md, item 4).
+    rng = np.random.default_rng([2, 2])
+    rho = DensityOperator.from_matrix(_ginibre_qubit(rng))
+    sigma = DensityOperator.from_matrix(_ginibre_qubit(rng))
+    pt = rate_curve(IIDPair(rho=rho, sigma=sigma), 0.05, [5])[0]
+    assert 0.0 <= pt.dmin_over_n <= pt.dmax_over_n
+    # no smoothing within eps pays off here, so the bound is D_max, additive
+    # over copies; at this condition number d_max carries rounding near 1e-7
+    assert pt.dmax_over_n == pytest.approx(d_max(rho.mat, sigma.mat).bits, abs=1e-6)
+
+
+def test_rate_curve_dense_dmin_rate_is_nonnegative():
+    # sigma is a state, so D_min >= 0: rounding below zero and -0.0 are
+    # floored at +0.0, as on the commuting path
+    rng = np.random.default_rng([0, 0])
+    half_mixed = [DensityOperator.from_matrix(0.25 * np.eye(2) + 0.5 * _ginibre_qubit(rng))
+                  for _ in range(2)]
+    for pair in (IIDPair(rho=random_density(2, 2, 1), sigma=random_density(2, 2, 2)),
+                 IIDPair(rho=half_mixed[0], sigma=half_mixed[1])):
+        for pt in rate_curve(pair, 0.05, [1, 2, 3, 4, 5]):
+            assert math.copysign(1.0, pt.dmin_over_n) == 1.0
 
 
 def test_divergence_rate_estimate_equal_states():
