@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error, 2 solver non-convergence,
-3 property-suite failure.  All numeric output is in bits (base-2 logarithms),
-and every subcommand is deterministic given its full flag set.
+Exit codes: 0 success, 1 validation error, 2 solver non-convergence or a
+failed smoothing certificate, 3 property-suite failure.  All numeric output is
+in bits (base-2 logarithms), and every subcommand is deterministic given its
+full flag set.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _run(ctx, fn):
     except sm.SolverError as exc:
         click.echo(f"solver did not converge: {exc} (iterations {exc.iterations}, "
                    f"residuals {exc.residuals})", err=True)
+        ctx.exit(2)
+    except sm.CertificateError as exc:
+        click.echo(f"certificate check failed: {exc}", err=True)
         ctx.exit(2)
 
 

@@ -28,7 +28,7 @@ from .operators import (
 # onto the kernel of sigma is below this operator-norm tolerance.
 SUPPORT_LEAK_TOL = 1e-9
 
-LOG2 = math.log(2.0)
+FORMS_BIT_RESOLUTION = 1e-11  # bits: the bracket width that ends d_max_forms' bisections
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,13 @@ def _psd_spectrum(sigma) -> Spectrum:
     return spec
 
 
-def _leaks(rm: np.ndarray, sigma_spec: Spectrum, tol: float = SUPPORT_LEAK_TOL) -> bool:
-    """Whether the compression of rho onto the kernel of sigma exceeds tol."""
+def _leaks(rm: np.ndarray, sigma_spec: Spectrum) -> bool:
+    """Whether rho's compression onto the kernel of sigma exceeds SUPPORT_LEAK_TOL."""
     kernel = sigma_spec.eigenvectors[:, ~sigma_spec.support]
     if not kernel.shape[1]:
         return False
     leak = hermitian_part(kernel.conj().T @ rm @ kernel)
-    return float(np.abs(np.linalg.eigvalsh(leak)).max()) > tol
-
-
-def support_contained(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
-    """supp(rho) subseteq supp(sigma), robust to eigenvector noise."""
-    return not _leaks(_as_matrix(rho), Spectrum.of(sigma), tol)
+    return float(np.abs(np.linalg.eigvalsh(leak)).max()) > SUPPORT_LEAK_TOL
 
 
 def d_max(rho, sigma) -> DivergenceValue:
@@ -102,7 +97,7 @@ def d_max_witness_residual(rho, sigma, bits: float) -> float:
     return float(np.trace(p @ diff).real)
 
 
-def d_max_forms(rho, sigma, bit_resolution: float = 1e-11) -> tuple:
+def d_max_forms(rho, sigma) -> tuple:
     """The three equivalent definitions of the max-relative entropy, computed
     independently: operator-inequality bisection, whitened maximum eigenvalue,
     and vanishing-positive-part bisection."""
@@ -124,7 +119,7 @@ def d_max_forms(rho, sigma, bit_resolution: float = 1e-11) -> tuple:
 
     def bisect(pred):
         a, b = lo, hi
-        while b - a > bit_resolution:
+        while b - a > FORMS_BIT_RESOLUTION:
             mid = (a + b) / 2
             if pred(mid):
                 b = mid

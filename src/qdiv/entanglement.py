@@ -33,6 +33,8 @@ from .operators import (
 
 PPT_EIG_TOL = 1e-9
 BARRIER_WEIGHT = 1e-6
+REL_ENT_ITERS = 400
+MONOTONE_TOL = 1e-8  # bits
 
 
 @dataclass(frozen=True)
@@ -94,24 +96,18 @@ class EmaxResult:
             raise ValidationError("gap must be nonnegative")
 
 
-def _pt_matrix(mat: np.ndarray, dims: tuple, subsystem: str = "B") -> np.ndarray:
+def _pt_matrix(mat: np.ndarray, dims: tuple) -> np.ndarray:
     da, db = dims
-    four = mat.reshape(da, db, da, db)
-    if subsystem == "B":
-        four = four.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        four = four.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError("subsystem must be 'A' or 'B'")
-    return four.reshape(da * db, da * db)
+    return mat.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
 
 
-def partial_transpose(state: BipartiteState, subsystem: str = "B") -> HermitianOperator:
-    return HermitianOperator(_pt_matrix(state.state.mat, state.dims, subsystem))
+def partial_transpose(state: BipartiteState) -> HermitianOperator:
+    """The partial transpose on subsystem B."""
+    return HermitianOperator(_pt_matrix(state.state.mat, state.dims))
 
 
 def is_ppt(state: BipartiteState) -> bool:
-    w = np.linalg.eigvalsh(_pt_matrix(state.state.mat, state.dims, "B"))
+    w = np.linalg.eigvalsh(_pt_matrix(state.state.mat, state.dims))
     return bool(w[0] >= -PPT_EIG_TOL)
 
 
@@ -145,14 +141,14 @@ def ppt_emax_lower(state: BipartiteState) -> float:
     x, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
                      hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
     z = Spectrum.of(np.tensordot(x, basis, 1)).apply(lambda w: np.clip(w, 0.0, None))
-    shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims, "B"))[0]))
+    shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims))[0]))
     return math.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
 
 
 def _pt_basis(dims: tuple) -> tuple:
     """The Hermitian basis of the bipartite space and its partial transposes."""
     basis = hermitian_basis(dims[0] * dims[1])
-    return basis, np.array([_pt_matrix(e, dims, "B") for e in basis])
+    return basis, np.array([_pt_matrix(e, dims) for e in basis])
 
 
 def _ppt_optimum(rm: np.ndarray, dims: tuple) -> np.ndarray:
@@ -479,21 +475,19 @@ def _log_gradient(rm: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return hermitian_part(v @ (phi * inner) @ v.conj().T)
 
 
-def rel_ent_entanglement(state: BipartiteState, terms: int = None,
-                         iters: int = 400) -> float:
+def rel_ent_entanglement(state: BipartiteState) -> float:
     """Upper bound on the relative entropy of entanglement: conditional-gradient
     minimization of S(rho||sigma) over separable ensembles.  The search starts
     from the witness of ``emax`` and takes descent steps only, so the value is
     at most S(rho||sigma_wit) + 1.5e-6 <= E_max upper bound + 1.5e-6 (the
     1.5e-6 is the cost of BARRIER_WEIGHT)."""
     rm = state.state.mat
-    da, db = state.dims
-    max_terms = terms if terms is not None else (da * db) ** 2
+    max_terms = state.state.dim ** 2
     ens = list(emax(state).witness.terms)
     sigma = _mixture_matrix(ens)
     cur = _rel_ent_objective(rm, sigma)
     eta_grid = (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02, 0.008, 0.003, 0.001)
-    for it in range(iters):
+    for _ in range(REL_ENT_ITERS):
         g = _log_gradient(rm, sigma)
         _, a, b = _best_product_state(g, state.dims)
         pvec = np.kron(a, b)
@@ -532,7 +526,7 @@ def _project_block(p: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return p @ mat @ p
 
 
-def monotone_condition_suite(state: BipartiteState, seed=0, tol: float = 1e-8) -> list:
+def monotone_condition_suite(state: BipartiteState, seed=0) -> list:
     """Direct checks of the structural properties of the max-relative entropy
     that drive the entanglement-monotone argument: positivity with equality at
     rho = sigma, unitary invariance, partial-trace monotonicity, the quantum
@@ -550,20 +544,20 @@ def monotone_condition_suite(state: BipartiteState, seed=0, tol: float = 1e-8) -
     pos_viol = max(-base, 0.0)
     self_val = abs(d_max(rm, rm).bits)
     results.append(ConditionResult("positivity_and_zero_at_equality",
-                                   pos_viol <= tol and self_val <= tol,
+                                   pos_viol <= MONOTONE_TOL and self_val <= MONOTONE_TOL,
                                    max(pos_viol, self_val)))
 
     # (ii) joint unitary invariance
     u = random_unitary(d, rng.integers(2**32))
     rot = d_max(u @ rm @ u.conj().T, u @ sigma @ u.conj().T).bits
     viol = abs(rot - base)
-    results.append(ConditionResult("unitary_invariance", viol <= tol, viol))
+    results.append(ConditionResult("unitary_invariance", viol <= MONOTONE_TOL, viol))
 
     # (iii) monotonicity under partial trace
     reduced = d_max(partial_trace_matrix(rm, state.dims, "A"),
                     partial_trace_matrix(sigma, state.dims, "A")).bits
     viol = max(reduced - base, 0.0)
-    results.append(ConditionResult("partial_trace_monotone", viol <= tol, viol))
+    results.append(ConditionResult("partial_trace_monotone", viol <= MONOTONE_TOL, viol))
 
     # (iv) instrument inequality: sum_k p_k D_max(rho_k||sigma_k) <= D_max(rho||sigma)
     # for the normalized outcomes rho_k = V_k rho V_k^dag / p_k, sigma_k likewise
@@ -577,7 +571,7 @@ def monotone_condition_suite(state: BipartiteState, seed=0, tol: float = 1e-8) -
         if alpha > 1e-12 and beta > 1e-12:
             lhs += alpha * (d_max(ri, si).bits - math.log2(alpha / beta))
     viol = max(lhs - base, 0.0)
-    results.append(ConditionResult("instrument_inequality", viol <= tol, viol))
+    results.append(ConditionResult("instrument_inequality", viol <= MONOTONE_TOL, viol))
 
     # (v) block-orthogonal decomposition: pinching to random orthogonal blocks
     # gives d_max equal to the maximum over the blocks
@@ -591,12 +585,12 @@ def monotone_condition_suite(state: BipartiteState, seed=0, tol: float = 1e-8) -
     per_block = max(d_max(_project_block(p1, rm), _project_block(p1, sigma)).bits,
                     d_max(_project_block(p2, rm), _project_block(p2, sigma)).bits)
     viol = abs(pinched - per_block)
-    results.append(ConditionResult("block_decomposition_max", viol <= tol, viol))
+    results.append(ConditionResult("block_decomposition_max", viol <= MONOTONE_TOL, viol))
 
     # (vi) tensoring both arguments with the same pure state changes nothing
     e = np.zeros((2, 2))
     e[0, 0] = 1.0
     viol = abs(d_max(np.kron(rm, e), np.kron(sigma, e)).bits - base)
-    results.append(ConditionResult("pure_tensor_invariance", viol <= tol, viol))
+    results.append(ConditionResult("pure_tensor_invariance", viol <= MONOTONE_TOL, viol))
 
     return results

@@ -13,11 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import BipartiteState
-from .operators import DensityOperator, ValidationError
+from .operators import PSD_TOL, DensityOperator, ValidationError
 
 HERMITICITY_REJECT = 1e-9
-EIG_REJECT = 1e-8
-TRACE_REJECT = 1e-8
 
 
 def matrix_to_payload(mat: np.ndarray, dims: tuple = None) -> dict:
@@ -57,11 +55,12 @@ def _validate_state_matrix(mat: np.ndarray) -> np.ndarray:
             f"transpose by {abs(asym[worst]):.3e}")
     herm = 0.5 * (mat + mat.conj().T)
     w = np.linalg.eigvalsh(herm)
-    if w[0] < -EIG_REJECT:
+    if w[0] < -PSD_TOL:
         raise ValidationError(f"matrix has negative eigenvalue {w[0]:.6e}")
     tr = float(np.trace(herm).real)
-    if tr > 1.0 + TRACE_REJECT:
-        raise ValidationError(f"trace is {tr:.6g}, exceeding 1")
+    if tr > 1.0 + PSD_TOL:
+        # 12 digits show any excess above PSD_TOL
+        raise ValidationError(f"trace is {tr:.12g}, exceeding 1")
     if tr <= 0.0:
         raise ValidationError(f"trace is {tr:.6g}, not positive")
     return herm

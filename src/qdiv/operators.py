@@ -333,9 +333,9 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
     return DensityOperator.from_matrix(m / np.trace(m).real)
 
 
-def random_hermitian(dim: int, seed, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, seed) -> HermitianOperator:
     g = _ginibre(_rng(seed), dim, dim)
-    return HermitianOperator(scale * hermitian_part(g))
+    return HermitianOperator(hermitian_part(g))
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

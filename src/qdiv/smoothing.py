@@ -39,10 +39,14 @@ from .operators import (
     trace_distance,
 )
 
+SWEEP_GRID_POINTS = 512
+
 # Matrix entries per stack of the smooth D_min projector sweep: 16 matrices at
 # d = 32.  Whole-grid stacks raise peak memory with the dimension, where this
 # bound keeps the sweep's temporaries near a megabyte.
 SWEEP_CHUNK_ENTRIES = 1 << 14
+
+DMAX_UPPER_RESOLUTION = 1e-6  # bits: the bracket width that ends the bisection
 
 # T^dag T <= I, so Tr T rho T^dag <= Tr rho.  beta^{-1/2} is taken on
 # eigenvalues down to SUPPORT_RTOL times the largest, whose relative rounding
@@ -167,8 +171,7 @@ def _excess_mass(rm: np.ndarray, sm: np.ndarray, lambda_bits: float) -> float:
     return max(float(np.trace(p @ rm).real), 0.0)
 
 
-def smooth_dmax_upper(rho: DensityOperator, sigma: DensityOperator, eps: float,
-                      resolution: float = 1e-6) -> SmoothDmaxBound:
+def smooth_dmax_upper(rho: DensityOperator, sigma: DensityOperator, eps: float) -> SmoothDmaxBound:
     """Upper bound on the eps-smooth max-relative entropy.
 
     Smallest lambda on a bisection grid with sqrt(8 Tr[{rho > 2^lambda sigma} rho])
@@ -184,7 +187,7 @@ def smooth_dmax_upper(rho: DensityOperator, sigma: DensityOperator, eps: float,
     lo, hi = dm.bits - 60.0, dm.bits
     at_floor = _excess_mass(rho.mat, sigma.mat, lo) <= budget
     if not at_floor:
-        while hi - lo > resolution:
+        while hi - lo > DMAX_UPPER_RESOLUTION:
             mid = (lo + hi) / 2
             if _excess_mass(rho.mat, sigma.mat, mid) <= budget:
                 hi = mid
@@ -263,8 +266,7 @@ def smooth_dmax_exact(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     return math.log2(x[-1]) + dm.bits
 
 
-def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float,
-                      grid_points: int = 512) -> float:
+def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float) -> float:
     """Lower bound on the eps-smooth min-relative entropy via a projector sweep.
 
     For each gamma on the grid, the compression P rho P with P = {rho >= 2^gamma sigma}
@@ -280,9 +282,9 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float,
     dmax_bits = d_max(rm, sm).bits
     hi = dmax_bits + 2.0 if math.isfinite(dmax_bits) else (base.bits if base.finite else 0.0) + 62.0
     lo = (base.bits if base.finite else 0.0) - 2.0
-    scales = 2.0 ** np.linspace(lo, hi, grid_points)
+    scales = 2.0 ** np.linspace(lo, hi, SWEEP_GRID_POINTS)
     chunk = max(1, SWEEP_CHUNK_ENTRIES // rm.size)
-    for start in range(0, grid_points, chunk):
+    for start in range(0, SWEEP_GRID_POINTS, chunk):
         proj, _ = _projector_stack(rm - scales[start:start + chunk, None, None] * sm, ">=")
         kept = np.einsum("kij,ji->k", proj, rm).real
         proj = proj[2.0 * np.sqrt(np.maximum(1.0 - kept, 0.0)) <= eps]

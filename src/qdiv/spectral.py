@@ -8,6 +8,7 @@ with a type-class fast path for commuting pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -88,14 +89,14 @@ def joint_eigen_probabilities(pair: IIDPair) -> tuple:
     return p, q
 
 
-def _compositions(n: int, d: int):
-    """All ways to split n into d nonnegative parts."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
+def _compositions(n: int, d: int) -> np.ndarray:
+    """All ways to split n into d nonnegative parts, one per row, in
+    lexicographic order.  By stars and bars, the parts are the gaps between
+    d - 1 bars placed in increasing order among n + d - 1 slots."""
+    count = math.comb(n + d - 1, d - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + d - 1), d - 1)),
+                       dtype=np.int64, count=count * (d - 1)).reshape(count, d - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=n + d - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def type_table(p: np.ndarray, q: np.ndarray, n: int) -> TypeTable:
     count = math.comb(n + d - 1, d - 1)
     if count > TYPE_COUNT_GUARD:
         raise ValidationError(f"{count} type classes exceed the guard {TYPE_COUNT_GUARD}")
-    ks = np.array(list(_compositions(n, d)), dtype=float)
+    ks = _compositions(n, d).astype(float)
     logmult = gammaln(n + 1) - gammaln(ks + 1).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = np.where(p > 0, np.log(p, where=p > 0, out=np.full_like(p, -np.inf)), -np.inf)
@@ -134,8 +135,7 @@ def _mass(logs: np.ndarray, mask: np.ndarray) -> float:
 
 
 def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
-                   strict: bool = False, weight: str = "rho",
-                   method: str = "auto") -> float:
+                   weight: str = "rho", method: str = "auto") -> float:
     """Tr[{rho^(n) >= 2^{n gamma} sigma^(n)} X^(n)] with X = rho or sigma.
 
     ``method`` selects the dense tensor-power path, the commuting type-class
@@ -148,15 +148,14 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
     if use_fast:
         p, q = joint_eigen_probabilities(pair)
         table = type_table(p, q, n)
-        tol = 0.5 * RATIO_QUANTUM
-        mask = table.ratio_bits > threshold + tol if strict else table.ratio_bits >= threshold - tol
+        mask = table.ratio_bits >= threshold - 0.5 * RATIO_QUANTUM
         logs = table.log_p if weight == "rho" else table.log_q
         return _mass(logs, mask)
     if method == "fast":
         raise ValidationError("fast path requires a commuting pair")
     rho_n = tensor_power(pair.rho, n).mat
     sigma_n = tensor_power(pair.sigma, n).mat
-    proj = compare_projector(rho_n, (2.0**threshold) * sigma_n, ">" if strict else ">=").mat
+    proj = compare_projector(rho_n, (2.0**threshold) * sigma_n, ">=").mat
     target = rho_n if weight == "rho" else sigma_n
     return max(float(np.trace(proj @ target).real), 0.0)
 

@@ -379,7 +379,7 @@ def chk_emax_relent_order(rng, dim):
     state = _random_two_qubit(rng)
     res = ent.emax(state)
     rel = ent.rel_ent_entanglement(state)
-    return rel - res.upper_bits - 1e-3
+    return rel - res.upper_bits - 1.5e-6
 
 
 def chk_ppt_lower_le_upper(rng, dim):

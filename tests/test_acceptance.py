@@ -104,7 +104,7 @@ def test_acceptance_4_emax(capsys):
             ok = False
             detail += f", gap {r.gap:.2e} above 1e-6"
             break
-        if rel_ent_entanglement(state) > r.upper_bits + 1e-3:
+        if rel_ent_entanglement(state) > r.upper_bits + 1.5e-6:
             ok = False
             detail += ", relative-entropy bound exceeded upper"
             break

@@ -139,6 +139,21 @@ def test_solver_error_exit_code_reports_iterations(runner, files, monkeypatch):
     assert "iterations 1" in res.output and "residuals (" in res.output
 
 
+def test_certificate_error_exit_code_without_traceback(runner, files, monkeypatch):
+    from qdiv import smoothing
+
+    def fail(rho, sigma, lambda_bits):
+        raise smoothing.CertificateError("d_max(smoothed||sigma) exceeds lambda")
+
+    monkeypatch.setattr(smoothing, "lemma5_smooth", fail)
+    res = runner.invoke(main, ["smooth", "--quantity", "dmax", "--mode", "bound",
+                               "--eps", "0.2", "--rho", str(files / "rho9.json"),
+                               "--sigma", str(files / "sigma.json")])
+    assert res.exit_code == 2
+    assert "certificate check failed: d_max(smoothed||sigma) exceeds lambda" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 @pytest.mark.parametrize("quantity", ["dmax", "dmin"])
 def test_smooth_bound_eps_zero_is_validation_error(runner, files, quantity):
     res = runner.invoke(main, ["smooth", "--quantity", quantity, "--mode", "bound",

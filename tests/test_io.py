@@ -82,6 +82,20 @@ def test_negative_eigenvalue_rejected(tmp_path):
         parse_state_file(path)
 
 
+def test_small_negative_eigenvalue_rejected_by_file_check(tmp_path):
+    path = tmp_path / "neg_small.json"
+    write_state_file(path, np.diag([1.0 + 5e-9, -5e-9]).astype(complex))
+    with pytest.raises(ValidationError, match="matrix has negative eigenvalue -5.0+e-09"):
+        parse_state_file(path)
+
+
+def test_small_trace_excess_rejected_by_file_check(tmp_path):
+    path = tmp_path / "heavy_small.json"
+    write_state_file(path, np.diag([1.0 + 5e-9, 0.0]).astype(complex))
+    with pytest.raises(ValidationError, match=r"trace is 1\.000000005, exceeding 1"):
+        parse_state_file(path)
+
+
 def test_trace_above_one_rejected(tmp_path):
     path = tmp_path / "heavy.json"
     write_state_file(path, np.diag([0.9, 0.3]).astype(complex))

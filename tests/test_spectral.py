@@ -7,6 +7,7 @@ from qdiv.divergences import d_max, relative_entropy
 from qdiv.operators import DensityOperator, ValidationError, random_density
 from qdiv.spectral import (
     IIDPair,
+    _compositions,
     divergence_rate_estimate,
     lemma2_bound_check,
     rate_curve,
@@ -42,6 +43,25 @@ def test_tensor_power_guard():
 def test_commuting_detection():
     assert PAIR.commuting
     assert not noncommuting_pair().commuting
+
+
+def _compositions_recursive(n, d):
+    """All ways to split n into d nonnegative parts, in lexicographic order."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions_recursive(n - first, d - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_compositions_match_recursive_oracle(d):
+    for n in range(13):
+        expected = np.array(list(_compositions_recursive(n, d)))
+        got = _compositions(n, d)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_spectral_trace_extremes():
