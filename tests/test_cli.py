@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +222,12 @@ def test_suite_single_trial_lists_every_check(runner):
     names = [ln.split(",")[0] for ln in lines[1:-1]]
     assert len(names) == len(set(names)) == 43
     assert all(ln.split(",")[2] == "0" for ln in lines[1:-1])
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qdiv, qdiv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 
 from qdiv.divergences import d_max, relative_entropy
 from qdiv.operators import DensityOperator, ValidationError, random_density
+from qdiv.smoothing import smooth_dmax_exact_classical
 from qdiv.spectral import (
     IIDPair,
     _compositions,
@@ -13,6 +14,7 @@ from qdiv.spectral import (
     rate_curve,
     spectral_trace,
     tensor_power,
+    type_table,
 )
 
 RHO = DensityOperator.from_matrix(np.diag([0.75, 0.25]).astype(complex))
@@ -62,6 +64,27 @@ def test_compositions_match_recursive_oracle(d):
         got = _compositions(n, d)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+def test_type_table_log_multinomials_match_factorials():
+    # with unit weights the log masses are the log multinomials themselves
+    fact = [math.factorial(k) for k in range(61)]
+    for d in (1, 2, 3, 4):
+        for n in range(61):
+            table = type_table(np.ones(d), np.ones(d), n)
+            exact = [math.log(fact[n] // math.prod(fact[k] for k in ks))
+                     for ks in _compositions(n, d).tolist()]
+            assert np.allclose(table.log_p, exact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, n_max", [((0.75, 0.25), 3000), ((0.9, 0.1), 3000),
+                                      ((0.5, 0.3, 0.2), 300), ((0.4, 0.3, 0.2, 0.1), 60)])
+def test_type_table_masses_sum_to_one(p, n_max):
+    # the log masses are differences of terms as large as log n!, so their
+    # rounding, and the total's, grows with n
+    for n in (1, 2, 10, n_max // 3, n_max):
+        table = type_table(np.array(p), np.array(p), n)
+        assert abs(math.fsum(np.exp(table.log_p)) - 1.0) <= 1e-15 * n
 
 
 def test_spectral_trace_extremes():
@@ -147,6 +170,50 @@ def test_rate_curve_zero_dmin_rate_is_positive_zero():
     for pt in rate_curve(PAIR, 0.05, [1, 2, 3, 4, 5]):
         assert pt.dmin_over_n == 0.0
         assert math.copysign(1.0, pt.dmin_over_n) == 1.0
+
+
+RANK_DEFICIENT = [
+    ((1.0, 0.0), (0.5, 0.5)),
+    ((0.9, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3)),
+    ((0.9, 0.1, 0.0), (0.5, 0.5, 0.0)),
+    ((0.6, 0.4, 0.0), (0.2, 0.3, 0.5)),
+]
+
+
+def _diagonal_pair(p, q):
+    return IIDPair(rho=DensityOperator.from_matrix(np.diag(p).astype(complex)),
+                   sigma=DensityOperator.from_matrix(np.diag(q).astype(complex)))
+
+
+@pytest.mark.parametrize("p, q", RANK_DEFICIENT)
+def test_spectral_trace_paths_agree_on_zero_eigenvalues(p, q):
+    pair = _diagonal_pair(p, q)
+    for n in (1, 2, 3, 4):
+        for gamma in (-0.5, 0.0, 0.3, 0.7):
+            for weight in ("rho", "sigma"):
+                fast = spectral_trace(pair, n, gamma, weight=weight, method="fast")
+                dense = spectral_trace(pair, n, gamma, weight=weight, method="dense")
+                assert fast == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, q", RANK_DEFICIENT)
+def test_rate_curve_dmax_on_zero_eigenvalues_matches_product(p, q):
+    pair = _diagonal_pair(p, q)
+    for eps in (0.05, 0.2):
+        for pt in rate_curve(pair, eps, [1, 2, 3, 4]):
+            p_n, q_n = np.array(p), np.array(q)
+            for _ in range(pt.n - 1):
+                p_n, q_n = np.kron(p_n, p), np.kron(q_n, q)
+            exact = smooth_dmax_exact_classical(p_n, q_n, eps)
+            assert pt.dmax_over_n == pytest.approx(exact / pt.n, abs=1e-12)
+
+
+def test_rate_curve_dmin_on_zero_eigenvalue_is_closed_form():
+    # at eps = 0.01 no type class is light enough to delete for n <= 4, so
+    # the rate is the unsmoothed D_min, additive over copies
+    pair = _diagonal_pair((0.9, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3))
+    for pt in rate_curve(pair, 0.01, [1, 2, 3, 4]):
+        assert pt.dmin_over_n == -math.log2(2 / 3)
 
 
 def _ginibre_qubit(rng):
