@@ -12,19 +12,23 @@ over real x, with every F0_k and F_ki Hermitian.  Its dual is
     subject to  sum_k Re Tr F_ki Z_k = c_i,  Z_k >= 0,
 
 and for a primal-feasible x and a dual-feasible Z the duality gap
-c . x + sum_k Tr F0_k Z_k equals sum_k Tr S_k Z_k.  The caller supplies a
-strictly feasible pair (x0, Z0).  The primal iterates stay feasible exactly
-(the slack is recomputed from x, and a step that rounding would carry out of
-the cone is halved), so any iterate is a valid primal point; each Newton step
-also cancels the dual residual that rounding leaves.  The search direction is
-the Helmberg-Kojima-Monteiro one, with Mehrotra's predictor-corrector choice
-of the centring parameter.  The solve stops once the relative gap is at most
-GAP_RTOL and the relative dual residual at most FEAS_RTOL; near a degenerate
-optimum S^-1 is large enough that rounding keeps the dual residual some
-orders of magnitude above the gap, hence the second, looser tolerance.
+c . x + sum_k Tr F0_k Z_k equals sum_k Tr S_k Z_k.  From a strictly feasible
+start (x0, Z0) the primal iterates stay feasible exactly: the slack is
+recomputed from x, and a step that rounding would carry out of the cone is
+halved.  Each Newton step, in the Helmberg-Kojima-Monteiro direction with
+Mehrotra's predictor-corrector centring, also cancels the dual residual that
+rounding leaves.  The solve stops at a relative gap of GAP_RTOL and a
+relative dual residual of FEAS_RTOL, the looser one because near a degenerate
+optimum S^-1 is large enough that rounding keeps the residual some orders of
+magnitude above the gap.  Blocks of one size are held as one stack, so a step
+makes one batched Cholesky factorization and inverse, one eigvalsh per step
+length and one contraction for the Schur complement per block size, however
+many blocks share it; per-block scalars are summed in the caller's order.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,18 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residuals = residuals
         self.iterations = iterations
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """How a solve ended: Newton steps taken, the final relative duality gap
+    and relative dual residual, and the batched LAPACK calls made (Cholesky
+    factors, their inverses, step-length eigenvalues and Schur solves)."""
+
+    iterations: int
+    gap: float
+    dual_residual: float
+    lapack_calls: int
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -70,106 +86,115 @@ def hermitian_coordinates(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("kab,ba->k", basis, mat).real
 
 
-def _inverse_choleskys(mats):
-    """L^-1 for each mat = L L^dag, or None unless every mat is numerically
-    positive definite."""
-    try:
-        return [np.linalg.inv(np.linalg.cholesky(m)) for m in mats]
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _max_step(inv_chol: np.ndarray, step: np.ndarray) -> float:
-    """Largest a with M + a * step >= 0, given L^-1 of M = L L^dag."""
-    low = np.linalg.eigvalsh(inv_chol @ step @ inv_chol.conj().T)[0]
-    return -1.0 / low if low < 0 else np.inf
-
-
 def solve_lmi(c, blocks, x0, z0):
     """Minimize c . x subject to F0_k + sum_i x_i F_ki >= 0.
 
     ``blocks`` is a sequence of pairs (F0_k, F_k) with F_k of shape
-    (len(x), n_k, n_k).  x0 and the dual matrices z0 must be strictly
-    feasible.  Returns (x, zs): the last primal iterate, strictly feasible,
-    and the dual matrices Z_k > 0, which satisfy the dual equality
-    constraints up to FEAS_RTOL.
-    Raises SolverError when the iteration cap is reached or a factorization
-    fails.
+    (len(x), n_k, n_k), and x0 and the dual matrices z0 must be strictly
+    feasible.  Returns (x, zs, stats): the last primal iterate, strictly
+    feasible; the dual matrices Z_k > 0 in the order of ``blocks``, which meet
+    the dual equality constraints up to FEAS_RTOL; and a SolveStats.  Raises
+    SolverError when the iteration cap is reached or a factorization fails.
     """
     c = np.asarray(c, dtype=float)
     x = np.asarray(x0, dtype=float)
-    zs = [np.asarray(z, dtype=complex) for z in z0]
-    f0s = [np.asarray(f0, dtype=complex) for f0, _ in blocks]
-    fs = [np.asarray(f, dtype=complex) for _, f in blocks]
+    sizes = [len(f0) for f0, _ in blocks]
+    groups = [[k for k, n in enumerate(sizes) if n == size] for size in dict.fromkeys(sizes)]
+    back = np.argsort(np.concatenate(groups))    # each block's place in the stacks
+    f0s = [np.array([blocks[k][0] for k in g], dtype=complex) for g in groups]
+    fs = [np.stack([np.asarray(blocks[k][1], dtype=complex) for k in g], axis=1) for g in groups]
     flat = [f.reshape(len(c), -1) for f in fs]
-    size = sum(f0.shape[0] for f0 in f0s)
     c_scale = max(1.0, float(np.linalg.norm(c)))
+    calls = 0
+
+    def lapack(fn, *args):
+        nonlocal calls
+        calls += 1
+        return fn(*args)
+
+    def inner(pairs):   # sum_k Re Tr(A_k B_k), A_k Hermitian, in the caller's block order
+        terms = [np.einsum("kab,kab->k", a.conj(), b).real for a, b in pairs]
+        return float(np.concatenate(terms)[back].sum())
 
     def adjoint(mats):
         # Re Tr(F_i M) = Re <vec F_i, vec M^T>
-        return sum((fl @ m.T.reshape(-1)).real for fl, m in zip(flat, mats))
+        return sum((fl @ m.swapaxes(1, 2).reshape(-1)).real for fl, m in zip(flat, mats))
 
-    def slacks(x):
-        return [f0 + np.tensordot(x, f, 1) for f0, f in zip(f0s, fs)]
+    def linear(x):
+        return [(x @ fl).reshape(f0.shape) for fl, f0 in zip(flat, f0s)]
 
-    slack = slacks(x)
-    inv_s, inv_z = _inverse_choleskys(slack), _inverse_choleskys(zs)
-    if inv_s is None or inv_z is None:
+    def factor(stacks):
+        # L^-1 for every M = L L^dag; None unless all are numerically definite
+        try:
+            return [lapack(np.linalg.inv, lapack(np.linalg.cholesky, st)) for st in stacks]
+        except np.linalg.LinAlgError:
+            return None
+
+    sz = [np.array((f0 + s, [z0[k] for k in g]), dtype=complex)
+          for f0, s, g in zip(f0s, linear(x), groups)]
+    inv = factor(sz)
+    if inv is None:
         raise SolverError("the starting point is not strictly feasible", iterations=0)
     for it in range(MAX_ITER + 1):
-        gap = sum(float(np.vdot(s, z).real) for s, z in zip(slack, zs))
-        r_dual = c - adjoint(zs)
+        gap = inner(sz)
+        r_dual = c - adjoint([z for _, z in sz])
         res = (gap / max(1.0, abs(float(c @ x))), float(np.linalg.norm(r_dual)) / c_scale)
         if res[0] <= GAP_RTOL and res[1] <= FEAS_RTOL:
-            return x, zs
+            zs = [z for _, stack in sz for z in stack]
+            return x, [zs[k] for k in back], SolveStats(it, *res, calls)
         if it == MAX_ITER:
             break
-        s_inv = [f.conj().T @ f for f in inv_s]
-        # Schur complement H_ij = Re Tr(F_i S^-1 F_j Z)
-        schur = sum((fl @ np.swapaxes(si @ f @ z, 1, 2).reshape(len(c), -1).T).real
-                    for fl, f, si, z in zip(flat, fs, s_inv, zs))
+        s_inv = [f[0].conj().swapaxes(1, 2) @ f[0] for f in inv]
+        # Schur complement H_ij = Re Tr(F_i G_j): per block size, one product
+        # with S^-1 and one with Z form G_j = S^-1 F_j Z for every j
+        schur = 0
+        for f, fl, si, (_, z) in zip(fs, flat, s_inv, sz):
+            m, k, n = f.shape[:3]
+            g = (si @ f.transpose(1, 2, 0, 3).reshape(k, n, -1)).reshape(k, -1, n) @ z
+            g = g.reshape(k, n, m, n).transpose(2, 0, 3, 1).reshape(m, -1)   # rows vec G_j^T
+            schur = schur + (fl @ g.T).real
         schur = (schur + schur.T) / 2
         a_inv = adjoint(s_inv)
-        mu = gap / size
+        mu = gap / sum(sizes)
 
         def direction(target, second):
             # Newton step for S Z = target I - second and A*(Z) = c; the
             # slack moves by A(dx), so H dx = target A*(S^-1) - c - A*(second)
             rhs = target * a_inv - c - adjoint(second)
             try:
-                dx = np.linalg.solve(schur, rhs)
+                dx = lapack(np.linalg.solve, schur, rhs)
             except np.linalg.LinAlgError:   # an exactly zero pivot near a degenerate optimum
-                dx = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-            ds = [np.tensordot(dx, f, 1) for f in fs]
-            dz = [hermitian_part(target * si - z - si @ d @ z - m)
-                  for si, z, d, m in zip(s_inv, zs, ds, second)]
-            return dx, ds, dz
+                dx = lapack(np.linalg.lstsq, schur, rhs, None)[0]
+            return dx, [np.array((ds, hermitian_part(target * si - z - si @ ds @ z - m)))
+                        for ds, si, (_, z), m in zip(linear(dx), s_inv, sz, second)]
 
-        def steps(ds, dz):
-            ap = min(_max_step(f, d) for f, d in zip(inv_s, ds))
-            ad = min(_max_step(f, d) for f, d in zip(inv_z, dz))
-            return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
+        def steps(dsz):
+            # the largest a with S + a dS >= 0 and with Z + a dZ >= 0
+            low = np.min([lapack(np.linalg.eigvalsh, f @ d @ f.conj().swapaxes(-1, -2))[..., 0]
+                          .min(axis=1) for f, d in zip(inv, dsz)], axis=0)
+            bound = np.divide(-1.0, low, out=np.full(2, np.inf), where=low < 0)
+            return np.minimum(1.0, STEP_FRACTION * bound)
 
-        _, ds, dz = direction(0.0, [np.zeros_like(z) for z in zs])
-        ap, ad = steps(ds, dz)
-        mu_aff = sum(float(np.vdot(s + ap * d, z + ad * e).real)
-                     for s, d, z, e in zip(slack, ds, zs, dz)) / size
+        _, dsz = direction(0.0, [np.zeros_like(z) for _, z in sz])
+        step = steps(dsz)[:, None, None, None]
+        mu_aff = inner(p + step * d for p, d in zip(sz, dsz)) / sum(sizes)
         sigma = min(1.0, mu_aff / mu) ** 3
-        second = [hermitian_part(si @ d @ e) for si, d, e in zip(s_inv, ds, dz)]
-        dx, ds, dz = direction(sigma * mu, second)
-        ap, ad = steps(ds, dz)
+        second = [hermitian_part(si @ ds @ dz) for si, (ds, dz) in zip(s_inv, dsz)]
+        dx, dsz = direction(sigma * mu, second)
+        ap, ad = steps(dsz)
         # the eigenvalues behind the step lengths carry rounding error, so a
         # step that leaves the cone is halved
         for _ in range(BACKTRACKS):
-            new_x, new_zs = x + ap * dx, [z + ad * e for z, e in zip(zs, dz)]
-            new_slack = slacks(new_x)
-            new_inv_s, new_inv_z = _inverse_choleskys(new_slack), _inverse_choleskys(new_zs)
-            if new_inv_s is not None and new_inv_z is not None:
+            new_x = x + ap * dx
+            new_sz = [np.array((f0 + s, z + ad * dz))
+                      for f0, s, (_, z), (_, dz) in zip(f0s, linear(new_x), sz, dsz)]
+            new_inv = factor(new_sz)
+            if new_inv is not None:
                 break
             ap, ad = ap / 2, ad / 2
         else:
             raise SolverError("an iterate lost definiteness", residuals=res,
                               iterations=it + 1)
-        x, zs, slack, inv_s, inv_z = new_x, new_zs, new_slack, new_inv_s, new_inv_z
+        x, sz, inv = new_x, new_sz, new_inv
     raise SolverError(f"no convergence in {MAX_ITER} iterations", residuals=res,
                       iterations=MAX_ITER)

@@ -138,8 +138,8 @@ def ppt_emax_lower(state: BipartiteState) -> float:
     # blocks Z >= 0 and I - Z^TB >= 0; the solver's multipliers of these are
     # Y - rho and Y^TB, started from Y = 2 I (rho <= I)
     blocks = ((np.zeros((d, d)), basis), (eye, -pt_basis))
-    x, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
-                     hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
+    x, _, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
+                        hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
     z = Spectrum.of(np.tensordot(x, basis, 1)).apply(lambda w: np.clip(w, 0.0, None))
     shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims))[0]))
     return math.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
@@ -160,9 +160,9 @@ def _ppt_optimum(rm: np.ndarray, dims: tuple) -> np.ndarray:
     d = rm.shape[0]
     basis, pt_basis = _pt_basis(dims)
     eye = np.eye(d)
-    x, _ = solve_lmi(hermitian_coordinates(basis, eye),
-                     ((-rm, basis), (np.zeros((d, d)), pt_basis)),
-                     hermitian_coordinates(basis, 2 * eye), (eye / 2, eye / 2))
+    x, _, _ = solve_lmi(hermitian_coordinates(basis, eye),
+                        ((-rm, basis), (np.zeros((d, d)), pt_basis)),
+                        hermitian_coordinates(basis, 2 * eye), (eye / 2, eye / 2))
     y = np.tensordot(x, basis, 1)
     return y / float(np.trace(y).real)
 

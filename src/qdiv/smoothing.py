@@ -262,7 +262,7 @@ def smooth_dmax_exact(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     z0 = (eye / w.sum() + eye, eye / w.sum(), eye, eye, np.eye(1), np.eye(1))
     c = np.zeros(len(x0))
     c[-1] = 1.0
-    x, _ = solve_lmi(c, blocks, x0, z0)
+    x, _, _ = solve_lmi(c, blocks, x0, z0)
     return math.log2(x[-1]) + dm.bits
 
 

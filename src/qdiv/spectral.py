@@ -176,9 +176,11 @@ def _classical_smooth_dmin_types(table: TypeTable, eps: float, dmin_n: float) ->
     value because D_min is additive over copies."""
     order = np.argsort(table.ratio_bits)[::-1]
     log_p = table.log_p[order]
-    cum_p = np.cumsum(np.exp(log_p))
-    deleted = np.maximum(cum_p[-1] - cum_p, 0.0)
-    feasible = (2.0 * np.sqrt(deleted) <= eps) & np.isfinite(np.maximum.accumulate(log_p))
+    # the rho-mass each prefix deletes, in units of the budget eps^2 / 4 and
+    # summed from the tail: a difference of prefix sums, or masses compared
+    # with eps^2 / 4 after exp, would decide a budget tie by rounding
+    deleted = np.append(np.cumsum(np.exp(log_p[::-1] - 2.0 * math.log(eps / 2.0)))[-2::-1], 0.0)
+    feasible = (deleted <= 1.0) & np.isfinite(np.maximum.accumulate(log_p))
     # the kept sigma-mass grows with the prefix, so the shortest feasible prefix
     # is the best; the full prefix, the unsmoothed value, is always feasible
     # unless rho has no support at all

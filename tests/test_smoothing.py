@@ -262,13 +262,13 @@ def test_smooth_dmax_exact_classical_matches_dense():
 
 
 def test_exact_solvers_eig_calls(monkeypatch):
-    # the interior-point solves replace bisections over alternating
-    # projections that took 56,153 (PPT bound on the Bell state) and 161,407
-    # (smooth D_max on a 4 x 4 pair) eigendecompositions; allow 1 % of those
+    # LAPACK calls of the interior-point solves, which stack blocks of equal
+    # size: at most half of the 156 (PPT bound on the Bell state) and 579
+    # (smooth D_max on a 4 x 4 pair) that one factorization per block took
     from qdiv.entanglement import BipartiteState, ppt_emax_lower
 
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky", "inv", "solve"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
@@ -276,11 +276,11 @@ def test_exact_solvers_eig_calls(monkeypatch):
     v[0] = v[3] = 1 / np.sqrt(2)
     bell = DensityOperator.from_matrix(np.outer(v, v.conj()))
     ppt_emax_lower(BipartiteState(dims=(2, 2), state=bell))
-    assert len(calls) <= 561
+    assert len(calls) <= 78
     calls.clear()
     rng = np.random.default_rng(4)
     smooth_dmax_exact(random_density(4, 4, rng), random_density(4, 4, rng), 0.1)
-    assert len(calls) <= 1614
+    assert len(calls) <= 289
 
 
 def test_epsilon_ball_membership():

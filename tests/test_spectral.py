@@ -216,6 +216,19 @@ def test_rate_curve_dmin_on_zero_eigenvalue_is_closed_form():
         assert pt.dmin_over_n == -math.log2(2 / 3)
 
 
+@pytest.mark.parametrize("p, q, kept", [
+    ((0.9, 0.1), (0.5, 0.5), 3 / 4),
+    ((0.9, 0.1, 0.0), (1 / 3, 1 / 3, 1 / 3), 1 / 3),
+    ((0.6, 0.3, 0.1), (1 / 3, 1 / 3, 1 / 3), 8 / 9),
+    ((0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25), 15 / 16),
+])
+def test_rate_curve_dmin_budget_tie_is_allowed(p, q, kept):
+    # at n = 2 the lightest type class has rho-mass 0.01 = eps^2 / 4 for
+    # eps = 0.2: deleting it meets 2 sqrt(delta) <= eps with equality
+    pt = rate_curve(_diagonal_pair(p, q), 0.2, [2])[0]
+    assert pt.dmin_over_n == pytest.approx(-math.log2(kept) / 2, abs=1e-12)
+
+
 def _ginibre_qubit(rng):
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     m = g @ g.conj().T
