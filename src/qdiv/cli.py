@@ -264,7 +264,10 @@ def suite_cmd(ctx, cmd_seed, trials, dims):
 
     def work():
         seed = cmd_seed if cmd_seed is not None else ctx.obj["seed"]
-        dim_list = tuple(int(x) for x in dims.split(","))
+        try:
+            dim_list = tuple(int(x) for x in dims.split(","))
+        except ValueError as exc:
+            raise op.ValidationError(f"--dims must look like '2,3,4', got {dims!r}") from exc
         config = SuiteConfig(seed=seed, trials=trials, dims=dim_list)
         report = run_suite(config)
         if ctx.obj["format"] == "csv":

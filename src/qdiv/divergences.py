@@ -17,7 +17,7 @@ from .operators import (
     Spectrum,
     ValidationError,
     _as_matrix,
-    compare_projector,
+    _spectral_projectors,
     hermitian_part,
     partial_trace_matrix,
     support_projector,
@@ -91,9 +91,8 @@ def d_max_witness_residual(rho, sigma, bits: float) -> float:
     """Self-check against the two-projector form: Tr[{rho >= lam sigma}(rho - lam sigma)]
     evaluated at lam = 2**bits; near zero iff bits dominates rho."""
     rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    lam = 2.0**bits
-    diff = rm - lam * sm
-    p = compare_projector(rm, lam * sm, ">=").mat
+    diff = rm - 2.0**bits * sm
+    p, _ = _spectral_projectors(diff, ">=")
     return float(np.trace(p @ diff).real)
 
 
@@ -159,7 +158,7 @@ def relative_entropy(rho, sigma) -> DivergenceValue:
 def renyi_relative(rho, sigma, alpha: float) -> DivergenceValue:
     """Relative Renyi entropy S_alpha for 0 < alpha < 1 (powers on supports)."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     ra = Spectrum.of(rho).apply(lambda w: w**alpha, on_support=True)
     sb = _psd_spectrum(sigma).apply(lambda w: w ** (1.0 - alpha), on_support=True)
     overlap = float(np.trace(ra @ sb).real)

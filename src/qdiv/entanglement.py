@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sdp import hermitian_basis, hermitian_coordinates, solve_lmi
-from .divergences import d_max, relative_entropy
+from .divergences import d_max
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -362,12 +362,18 @@ def _separable_feasibility(rm: np.ndarray, dims: tuple, t: float, terms,
     return cur, terms
 
 
+def _unit_vector(v: np.ndarray) -> np.ndarray:
+    """v normalized and rotated so that its first entry of magnitude at least
+    1e-8 times its largest is real and positive: the global phase, which the
+    eigen- and singular-vector routines leave arbitrary, is then fixed."""
+    lead = v[np.flatnonzero(np.abs(v) >= 1e-8 * np.abs(v).max())[0]]
+    return v * (abs(lead) / lead) / np.linalg.norm(v)
+
+
 def _ensemble_from_terms(terms) -> SeparableEnsemble:
-    fixed = []
     total = sum(w for w, _, _ in terms)
-    for w, a, b in terms:
-        fixed.append((w / total, a / np.linalg.norm(a), b / np.linalg.norm(b)))
-    return SeparableEnsemble(terms=tuple(fixed))
+    return SeparableEnsemble(terms=tuple((w / total, _unit_vector(a), _unit_vector(b))
+                                         for w, a, b in terms))
 
 
 def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
@@ -453,19 +459,23 @@ def _random_product_terms(dims, rng, count) -> list:
 # Relative entropy of entanglement (upper bound)
 # ---------------------------------------------------------------------------
 
-def _rel_ent_objective(rm: np.ndarray, sigma: np.ndarray) -> float:
+def _rel_ent_objective(rm: np.ndarray, log_r: np.ndarray, sigma: np.ndarray) -> tuple:
+    """S(rho||sigma') in bits for sigma' = sigma mixed with BARRIER_WEIGHT of
+    the maximally mixed state, and the spectrum of sigma'.  log_r is log2 rho
+    on its support; sigma' has full support, so this is the arithmetic of
+    ``relative_entropy`` with rho factored once by the caller."""
     d = rm.shape[0]
-    mixed = (1.0 - BARRIER_WEIGHT) * sigma + BARRIER_WEIGHT * np.eye(d) / d
-    return relative_entropy(rm, mixed).bits
+    spec = Spectrum.of((1.0 - BARRIER_WEIGHT) * sigma + BARRIER_WEIGHT * np.eye(d) / d)
+    val = float(np.trace(rm @ (log_r - spec.apply(np.log2, on_support=True))).real)
+    return val, spec
 
 
-def _log_gradient(rm: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Frechet derivative of Tr[rho log sigma] with respect to sigma, as the
-    matrix G with d/ds Tr[rho log(sigma + sH)] = Tr[G H]."""
-    d = rm.shape[0]
-    mixed = (1.0 - BARRIER_WEIGHT) * sigma + BARRIER_WEIGHT * np.eye(d) / d
-    w, v = np.linalg.eigh(hermitian_part(mixed))
-    w = np.clip(w, 1e-14, None)
+def _log_gradient(rm: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """Frechet derivative of Tr[rho log sigma'] with respect to sigma', as the
+    matrix G with d/ds Tr[rho log(sigma' + sH)] = Tr[G H], from the spectrum
+    of sigma'."""
+    w = np.clip(spec.eigenvalues, 1e-14, None)
+    v = spec.eigenvectors
     lw = np.log(w)
     denom = w[:, None] - w[None, :]
     phi = np.where(np.abs(denom) > 1e-12,
@@ -480,21 +490,24 @@ def rel_ent_entanglement(state: BipartiteState) -> float:
     minimization of S(rho||sigma) over separable ensembles.  The search starts
     from the witness of ``emax`` and takes descent steps only, so the value is
     at most S(rho||sigma_wit) + 1.5e-6 <= E_max upper bound + 1.5e-6 (the
-    1.5e-6 is the cost of BARRIER_WEIGHT)."""
+    1.5e-6 is the cost of BARRIER_WEIGHT).  rho is factored once and each
+    candidate sigma once; the gradient reuses the accepted candidate's
+    factorization."""
     rm = state.state.mat
+    log_r = Spectrum.of(rm).apply(np.log2, on_support=True)
     max_terms = state.state.dim ** 2
     ens = list(emax(state).witness.terms)
     sigma = _mixture_matrix(ens)
-    cur = _rel_ent_objective(rm, sigma)
+    cur, spec = _rel_ent_objective(rm, log_r, sigma)
     eta_grid = (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02, 0.008, 0.003, 0.001)
     for _ in range(REL_ENT_ITERS):
-        g = _log_gradient(rm, sigma)
+        g = _log_gradient(rm, spec)
         _, a, b = _best_product_state(g, state.dims)
         pvec = np.kron(a, b)
         pmat = np.outer(pvec, pvec.conj())
         best_eta, best_val = 0.0, cur
         for eta in eta_grid:
-            val = _rel_ent_objective(rm, (1.0 - eta) * sigma + eta * pmat)
+            val, _ = _rel_ent_objective(rm, log_r, (1.0 - eta) * sigma + eta * pmat)
             if val < best_val:
                 best_eta, best_val = eta, val
         if best_eta == 0.0:
@@ -504,10 +517,10 @@ def rel_ent_entanglement(state: BipartiteState) -> float:
         if len(cand) > 2 * max_terms:
             cand = _prune_terms(cand, max_terms)
         cand_sigma = _mixture_matrix(cand)
-        val = _rel_ent_objective(rm, cand_sigma)
+        val, cand_spec = _rel_ent_objective(rm, log_r, cand_sigma)
         if val >= cur:   # pruning can undo the step
             break
-        ens, sigma, cur = cand, cand_sigma, val
+        ens, sigma, cur, spec = cand, cand_sigma, val, cand_spec
     return cur
 
 

@@ -37,23 +37,6 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
-def _check_hermitian(mat: np.ndarray) -> None:
-    """Raise unless the matrix, or every matrix of a stack, is Hermitian to
-    HERMITICITY_TOL relative to its largest entry (at least 1)."""
-    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (dev > HERMITICITY_TOL * np.abs(mat).max(axis=(-2, -1), initial=1.0)).any():
-        raise ValidationError(f"matrix is not Hermitian (max deviation {np.max(dev):.3e})")
-
-
-def _check_projectors(mat: np.ndarray, rank) -> None:
-    """Raise unless the Hermitian matrix, or every matrix of a stack, is
-    idempotent with trace equal to its rank."""
-    if (np.abs(mat @ mat - mat).max(axis=(-2, -1)) > 1e-10).any():
-        raise ValidationError("operator is not idempotent")
-    if (np.abs(mat.trace(axis1=-2, axis2=-1).real - rank) > 1e-8).any():
-        raise ValidationError("rank does not match trace")
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
     """A dense self-adjoint matrix."""
@@ -64,7 +47,9 @@ class HermitianOperator:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-        _check_hermitian(mat)
+        dev = np.abs(mat - mat.conj().T).max()
+        if dev > HERMITICITY_TOL * max(np.abs(mat).max(), 1.0):
+            raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         mat = hermitian_part(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -120,7 +105,11 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        _check_projectors(self.op.mat, self.rank)
+        mat = self.op.mat
+        if np.abs(mat @ mat - mat).max() > 1e-10:
+            raise ValidationError("operator is not idempotent")
+        if abs(mat.trace().real - self.rank) > 1e-8:
+            raise ValidationError("rank does not match trace")
 
     @property
     def mat(self) -> np.ndarray:
@@ -211,27 +200,15 @@ _RELATIONS = {
 
 
 def _spectral_projectors(diffs: np.ndarray, relation: str) -> tuple:
-    """Unchecked spectral projectors {D rel 0} and their ranks, for one
-    operator D or a (k, d, d) stack of them."""
+    """Spectral projectors {D rel 0}, in their Hermitian part, and their ranks,
+    for one operator D or a (k, d, d) stack of them.
+
+    Unchecked, for inner loops that read only masses from the projectors;
+    ``compare_projector`` wraps the same arrays in the checked ``Projector``.
+    """
     spec = Spectrum.of(diffs)
     keep = _RELATIONS[relation](spec.eigenvalues)
-    return spec.apply(lambda w: keep), keep.sum(axis=-1)
-
-
-def _projector_stack(diffs: np.ndarray, relation: str) -> tuple:
-    """Spectral projectors {D_k rel 0} of a (k, d, d) stack of operators D_k
-    and their ranks, from one batched ``eigh`` and one batched matmul.
-
-    Every projector passes the checks that ``HermitianOperator`` and
-    ``Projector`` make on the one projector of ``compare_projector``
-    (Hermitian, idempotent, trace equal to rank) before it is returned, in its
-    Hermitian part.
-    """
-    proj, ranks = _spectral_projectors(diffs, relation)
-    _check_hermitian(proj)
-    proj = hermitian_part(proj)
-    _check_projectors(proj, ranks)
-    return proj, ranks
+    return hermitian_part(spec.apply(lambda w: keep)), keep.sum(axis=-1)
 
 
 def compare_projector(a, b, relation: str = ">=") -> Projector:
@@ -356,8 +333,8 @@ def random_effect(dim: int, seed) -> HermitianOperator:
 
 def random_channel(in_dim: int, out_dim: int, env_dim: int, seed) -> QuantumChannel:
     """Random CPTP map from a Haar-random Stinespring isometry."""
-    if env_dim < 1:
-        raise ValidationError("env_dim must be >= 1")
+    if min(in_dim, out_dim, env_dim) < 1:
+        raise ValidationError(f"dimensions must be >= 1, got {in_dim}, {out_dim}, {env_dim}")
     u = random_unitary(out_dim * env_dim, seed)
     if in_dim > out_dim * env_dim:
         raise ValidationError("in_dim exceeds out_dim * env_dim")

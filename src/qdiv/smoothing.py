@@ -10,9 +10,9 @@ Three layers:
 
 The projector sweep evaluates its 512-point grid in stacks of at most
 SWEEP_CHUNK_ENTRIES = 2^14 matrix entries (16 matrices at d = 32): one batched
-``eigh`` and one batched matmul give a stack's projectors, checked as
-``compare_projector`` checks one, and a second batched ``eigh`` gives the
-supports of the feasible compressions.
+``eigh`` and one batched matmul give a stack's projectors, bit for bit the
+ones ``compare_projector`` returns but without its checks, and a second
+batched ``eigh`` gives the supports of the feasible compressions.
 
 ``SolverError`` is re-exported here from ``qdiv._sdp``.
 """
@@ -33,7 +33,7 @@ from .operators import (
     Spectrum,
     ValidationError,
     _as_matrix,
-    _projector_stack,
+    _spectral_projectors,
     compare_projector,
     hermitian_part,
     trace_distance,
@@ -285,7 +285,7 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     scales = 2.0 ** np.linspace(lo, hi, SWEEP_GRID_POINTS)
     chunk = max(1, SWEEP_CHUNK_ENTRIES // rm.size)
     for start in range(0, SWEEP_GRID_POINTS, chunk):
-        proj, _ = _projector_stack(rm - scales[start:start + chunk, None, None] * sm, ">=")
+        proj, _ = _spectral_projectors(rm - scales[start:start + chunk, None, None] * sm, ">=")
         kept = np.einsum("kij,ji->k", proj, rm).real
         proj = proj[2.0 * np.sqrt(np.maximum(1.0 - kept, 0.0)) <= eps]
         compressed = proj @ rm @ proj

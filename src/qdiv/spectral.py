@@ -18,7 +18,7 @@ from .divergences import d_min, relative_entropy
 from .operators import (
     DensityOperator,
     ValidationError,
-    compare_projector,
+    _spectral_projectors,
     hermitian_part,
 )
 from .smoothing import smooth_dmax_exact_log, smooth_dmax_upper, smooth_dmin_lower
@@ -157,7 +157,7 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
         raise ValidationError("fast path requires a commuting pair")
     rho_n = tensor_power(pair.rho, n).mat
     sigma_n = tensor_power(pair.sigma, n).mat
-    proj = compare_projector(rho_n, (2.0**threshold) * sigma_n, ">=").mat
+    proj, _ = _spectral_projectors(rho_n - (2.0**threshold) * sigma_n, ">=")
     target = rho_n if weight == "rho" else sigma_n
     return max(float(np.trace(proj @ target).real), 0.0)
 
@@ -204,7 +204,7 @@ def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
     delta.  General pairs use the dense solvers under the size guard.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+        raise ValidationError("eps must lie in (0, 1)")
     rel = relative_entropy(pair.rho.mat, pair.sigma.mat)
     points = []
     if pair.commuting:

@@ -168,6 +168,25 @@ def test_smooth_bound_eps_zero_is_validation_error(runner, files, quantity):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["compute", "--quantity", "renyi", "--alpha", "1.5", "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["compute", "--quantity", "renyi", "--alpha", "0", "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["converge", "--eps", "1.5", "--nmax", "2", "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["suite", "--dims", "a,b"],
+    ["gen", "--kind", "channel", "--dim", "0"],
+    ["smooth", "--quantity", "dmax", "--mode", "exact", "--eps", "-1",
+     "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["emax", "--state", "rho.json", "--dims", "2,2"],
+], ids=["renyi-alpha-1.5", "renyi-alpha-0", "converge-eps", "suite-dims", "gen-channel-dim",
+        "smooth-eps", "emax-dims"])
+def test_bad_input_is_validation_error(runner, files, args, monkeypatch):
+    monkeypatch.chdir(files)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "validation error:" in res.stderr
+
+
 def test_converge_fast_classical_rejects_noncommuting(runner, files, tmp_path):
     mat = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     write_state_file(tmp_path / "nc.json", mat)

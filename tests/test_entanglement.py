@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from qdiv import entanglement
 from qdiv.entanglement import (
     WITNESS_MIX,
     BipartiteState,
     SeparableEnsemble,
     _basis_terms,
+    _ensemble_from_terms,
     _mixture_matrix,
     _ppt_optimum,
     _separable_feasibility,
@@ -235,6 +237,56 @@ def test_rel_ent_below_emax():
     res = emax(state)
     # started from the E_max witness, less the 1.5e-6 cost of BARRIER_WEIGHT
     assert rel_ent_entanglement(state) <= res.upper_bits + 1.5e-6
+
+
+def test_rel_ent_entanglement_one_eigh_per_candidate(monkeypatch):
+    # rho is factored once and each line-search candidate sigma once; the
+    # gradient reuses the accepted candidate's factorization
+    state = BipartiteState(dims=(2, 2), state=random_density(4, 4, np.random.default_rng(3)))
+    witness = emax(state)
+    monkeypatch.setattr(entanglement, "emax", lambda _: witness)
+    calls = {"eig": 0, "candidates": 0}
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, _fn=fn, **kwargs):
+            calls["eig"] += np.shape(a)[-2:] == (4, 4)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    objective = entanglement._rel_ent_objective
+
+    def counted_objective(*args):
+        calls["candidates"] += 1
+        return objective(*args)
+
+    monkeypatch.setattr(entanglement, "_rel_ent_objective", counted_objective)
+    rel_ent_entanglement(state)
+    # 321 full-dimension eigendecompositions for 320 candidates (669 before)
+    assert calls["candidates"] >= 100
+    assert calls["eig"] <= calls["candidates"] + 1
+
+
+def test_ensemble_from_terms_fixes_global_phase():
+    rng = np.random.default_rng(23)
+
+    def vec(dim):
+        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    terms = [(rng.uniform(0.1, 1.0), vec(2), vec(3)) for _ in range(6)]
+    # a leading entry below 1e-8 of the largest does not set the phase
+    terms.append((0.5, np.array([1e-12j, 0.6, 0.8j]), np.array([0.0, 2.0j])))
+    base = _ensemble_from_terms(terms).terms
+    for _ in range(5):
+        turned = [(w, a * np.exp(2j * np.pi * rng.uniform()), b * np.exp(2j * np.pi * rng.uniform()))
+                  for w, a, b in terms]
+        for (w, a, b), (w2, a2, b2) in zip(base, _ensemble_from_terms(turned).terms):
+            assert w == w2
+            assert np.abs(a - a2).max() <= 1e-15 and np.abs(b - b2).max() <= 1e-15
+    for _, a, b in base:
+        for v in (a, b):
+            lead = v[np.flatnonzero(np.abs(v) >= 1e-8 * np.abs(v).max())[0]]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15
 
 
 def test_monotone_condition_suite_passes():

@@ -9,6 +9,7 @@ from qdiv.operators import (
     SUPPORT_RTOL,
     Spectrum,
     ValidationError,
+    _spectral_projectors,
     apply_channel,
     compare_projector,
     fidelity,
@@ -164,3 +165,34 @@ def test_seeded_determinism():
 def test_partial_trace_dim_mismatch():
     with pytest.raises(ValidationError):
         partial_trace(random_density(4, 4, 14).mat, (3, 2), "A")
+
+
+@pytest.mark.parametrize("relation", [">=", ">"])
+def test_spectral_projectors_match_compare_projector(relation):
+    # the unchecked stack core returns, bit for bit, the projectors that
+    # compare_projector checks and hands out, rank-deficient rho and singular
+    # sigma included, and each of them passes the constructors' checks
+    rng = np.random.default_rng(17)
+    for trial in range(32):
+        dim = 1 + trial % 16
+        rho = random_density(dim, max(1, dim // 2) if trial % 3 == 0 else dim, rng).mat
+        sigma = random_density(dim, max(1, dim - 1) if trial % 4 == 1 else dim, rng).mat
+        scales = 2.0 ** np.linspace(-4.0, 4.0, 9)
+        stack, ranks = _spectral_projectors(rho - scales[:, None, None] * sigma, relation)
+        for p, rank, t in zip(stack, ranks, scales):
+            checked = compare_projector(rho, t * sigma, relation)
+            assert np.array_equal(p, checked.mat) and rank == checked.rank
+            Projector(HermitianOperator(p), int(rank))
+
+
+def test_projector_rejects_non_projectors():
+    with pytest.raises(ValidationError, match="not idempotent"):
+        Projector(HermitianOperator(np.diag([1.0, 0.5])), 1)
+    with pytest.raises(ValidationError, match="rank does not match trace"):
+        Projector(HermitianOperator(np.diag([1.0, 0.0])), 2)
+
+
+def test_random_channel_rejects_empty_dimensions():
+    for dims in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+        with pytest.raises(ValidationError, match="dimensions must be >= 1"):
+            random_channel(*dims, seed=0)
