@@ -67,6 +67,7 @@ from .spectral import (
     lemma2_bound_check,
     rate_curve,
     spectral_trace,
+    symmetric_compression,
     tensor_power,
 )
 from .suite import SuiteConfig, SuiteReport, run_suite

@@ -17,6 +17,7 @@ from .operators import (
     Spectrum,
     ValidationError,
     _as_matrix,
+    _matched_matrices,
     _spectral_projectors,
     hermitian_part,
     partial_trace_matrix,
@@ -78,8 +79,8 @@ def _leaks(rm: np.ndarray, sigma_spec: Spectrum) -> bool:
 
 def d_max(rho, sigma) -> DivergenceValue:
     """Max-relative entropy: log2 of the smallest lambda with rho <= lambda sigma."""
-    rm = _as_matrix(rho)
-    spec = _psd_spectrum(sigma)
+    rm, sm = _matched_matrices(rho, sigma)
+    spec = _psd_spectrum(sm)
     if _leaks(rm, spec):
         return DivergenceValue.infinite()
     w = spec.apply(lambda x: 1.0 / np.sqrt(x), on_support=True)
@@ -90,7 +91,7 @@ def d_max(rho, sigma) -> DivergenceValue:
 def d_max_witness_residual(rho, sigma, bits: float) -> float:
     """Self-check against the two-projector form: Tr[{rho >= lam sigma}(rho - lam sigma)]
     evaluated at lam = 2**bits; near zero iff bits dominates rho."""
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
+    rm, sm = _matched_matrices(rho, sigma)
     diff = rm - 2.0**bits * sm
     p, _ = _spectral_projectors(diff, ">=")
     return float(np.trace(p @ diff).real)
@@ -100,7 +101,7 @@ def d_max_forms(rho, sigma) -> tuple:
     """The three equivalent definitions of the max-relative entropy, computed
     independently: operator-inequality bisection, whitened maximum eigenvalue,
     and vanishing-positive-part bisection."""
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
+    rm, sm = _matched_matrices(rho, sigma)
     form2 = d_max(rm, sm)
     if not form2.finite:
         return (DivergenceValue.infinite(), form2, DivergenceValue.infinite())
@@ -133,7 +134,7 @@ def d_max_forms(rho, sigma) -> tuple:
 
 def d_min(rho, sigma) -> DivergenceValue:
     """Min-relative entropy: -log2 Tr(pi_rho sigma)."""
-    rm, sm = _as_matrix(rho), _as_matrix(sigma)
+    rm, sm = _matched_matrices(rho, sigma)
     _psd_spectrum(sm)  # validates sigma
     pi = Spectrum.of(rm).apply(np.ones_like, on_support=True)
     overlap = float(np.trace(pi @ sm).real)
@@ -145,8 +146,8 @@ def d_min(rho, sigma) -> DivergenceValue:
 def relative_entropy(rho, sigma) -> DivergenceValue:
     """Quantum relative entropy S(rho||sigma) = Tr[rho log2 rho - rho log2 sigma],
     evaluated on supp(sigma) with the 0 log 0 = 0 convention."""
-    rm = _as_matrix(rho)
-    spec = _psd_spectrum(sigma)
+    rm, sm = _matched_matrices(rho, sigma)
+    spec = _psd_spectrum(sm)
     if _leaks(rm, spec):
         return DivergenceValue.infinite()
     log_r = Spectrum.of(rm).apply(np.log2, on_support=True)
@@ -159,8 +160,9 @@ def renyi_relative(rho, sigma, alpha: float) -> DivergenceValue:
     """Relative Renyi entropy S_alpha for 0 < alpha < 1 (powers on supports)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    ra = Spectrum.of(rho).apply(lambda w: w**alpha, on_support=True)
-    sb = _psd_spectrum(sigma).apply(lambda w: w ** (1.0 - alpha), on_support=True)
+    rm, sm = _matched_matrices(rho, sigma)
+    ra = Spectrum.of(rm).apply(lambda w: w**alpha, on_support=True)
+    sb = _psd_spectrum(sm).apply(lambda w: w ** (1.0 - alpha), on_support=True)
     overlap = float(np.trace(ra @ sb).real)
     if overlap <= 0:
         return DivergenceValue.infinite()
@@ -176,7 +178,8 @@ def chernoff_bound(rho, sigma) -> DivergenceValue:
     support-projector convention rho^0 := pi_rho, sigma^0 := pi_sigma.
     Golden-section refinement after a 64-point bracketing grid.
     """
-    spec_r, spec_s = Spectrum.of(rho), Spectrum.of(sigma)
+    rm, sm = _matched_matrices(rho, sigma)
+    spec_r, spec_s = Spectrum.of(rm), Spectrum.of(sm)
     keep_r, keep_s = spec_r.support, spec_s.support
     w, v = spec_r.eigenvalues[keep_r], spec_s.eigenvalues[keep_s]
     overlap = np.abs(spec_r.eigenvectors[:, keep_r].conj().T @ spec_s.eigenvectors[:, keep_s]) ** 2

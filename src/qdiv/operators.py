@@ -32,6 +32,14 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
+def _matched_matrices(a, b) -> tuple:
+    """The matrices of two operators, checked to have the same shape."""
+    am, bm = _as_matrix(a), _as_matrix(b)
+    if am.shape != bm.shape:
+        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    return am, bm
+
+
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(A + A^dag) / 2 of a matrix, or of each matrix of a (k, d, d) stack."""
     return (mat + mat.conj().swapaxes(-1, -2)) / 2
@@ -220,9 +228,7 @@ def compare_projector(a, b, relation: str = ">=") -> Projector:
     """
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am, bm = _matched_matrices(a, b)
     proj, rank = _spectral_projectors(am - bm, relation)
     return Projector(HermitianOperator(proj), rank=int(rank))
 
@@ -236,9 +242,7 @@ def support_projector(rho) -> Projector:
 
 def trace_distance(a, b) -> float:
     """Schatten-1 norm ||A - B||_1 (sum of |eigenvalues| of the difference)."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am, bm = _matched_matrices(a, b)
     w = np.linalg.eigvalsh(hermitian_part(am - bm))
     return float(np.abs(w).sum())
 

@@ -178,7 +178,7 @@ def smooth_dmax_upper(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     <= eps; always >= the exact smooth value, and comes with the contraction
     certificate achieving it.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValidationError("eps must be positive")
     dm = d_max(rho.mat, sigma.mat)
     if not dm.finite:
@@ -218,7 +218,7 @@ def smooth_dmax_exact(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     optimum.  -inf when Tr rho <= eps: rho_bar = 0 lies in the ball, as in
     ``smooth_dmax_exact_classical``.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValidationError("eps must be positive")
     rm, sm = rho.mat, sigma.mat
     if rm.shape[0] > 16:
@@ -274,7 +274,7 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     and its min-relative entropy to sigma is an achieved feasible value.  The
     grid runs in stacks of at most SWEEP_CHUNK_ENTRIES matrix entries.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValidationError("eps must be positive")
     rm, sm = rho.mat, sigma.mat
     base = d_min(rm, sm)

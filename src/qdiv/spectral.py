@@ -1,15 +1,17 @@
 """Finite-n information-spectrum machinery.
 
-Tensor powers, the spectral trace quantities Tr[{rho_n >= 2^{n gamma} sigma_n} X_n],
-smooth-divergence estimates on product states, and rate curves.  Asymptotic
-limits are never taken: everything here is an explicit finite-n computation,
-with a type-class fast path for commuting pairs.
+Tensor powers and their Schur-Weyl compression for qubits, the spectral trace
+quantities Tr[{rho_n >= 2^{n gamma} sigma_n} X_n], smooth-divergence estimates
+on product states, and rate curves.  Asymptotic limits are never taken:
+everything here is an explicit finite-n computation, with a type-class fast
+path for commuting pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,7 @@ from .divergences import d_min, relative_entropy
 from .operators import (
     DensityOperator,
     ValidationError,
+    _matched_matrices,
     _spectral_projectors,
     hermitian_part,
 )
@@ -37,7 +40,8 @@ class IIDPair:
     commuting: bool = field(init=False)
 
     def __post_init__(self):
-        comm = self.rho.mat @ self.sigma.mat - self.sigma.mat @ self.rho.mat
+        rm, sm = _matched_matrices(self.rho, self.sigma)
+        comm = rm @ sm - sm @ rm
         norm = float(np.abs(np.linalg.eigvalsh(hermitian_part(1j * comm))).max()) if self.rho.dim > 1 else 0.0
         object.__setattr__(self, "commuting", norm <= 1e-10)
 
@@ -63,6 +67,72 @@ def tensor_power(rho: DensityOperator, n: int) -> DensityOperator:
     for _ in range(n - 1):
         out = np.kron(out, rho.mat)
     return DensityOperator.from_matrix(out)
+
+
+def _check_copy_counts(n_list: list):
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in n_list):
+        raise ValidationError(f"every n must be an integer >= 1, got {n_list}")
+
+
+def _symmetric_power(k: int, powers: tuple) -> np.ndarray:
+    """Sym^k(A) of a 2 x 2 matrix A in the Dicke basis |D_0>, ..., |D_k>.
+
+    A maps the monomial x^{k-b} y^b to (A_00 x + A_10 y)^{k-b} (A_01 x + A_11 y)^b,
+    whose coefficient of x^{k-a} y^a is entry (a, b) in the monomial basis;
+    |D_b> is sqrt(C(k, b)) times the monomial, hence the rescaling.
+    ``powers[c][i]`` holds the coefficients of (A_0c x + A_1c y)^i in powers of y.
+    """
+    cols = np.stack([np.convolve(powers[0][k - b], powers[1][b]) for b in range(k + 1)], axis=1)
+    binom = np.array([math.comb(k, b) for b in range(k + 1)], dtype=float)
+    return cols * np.sqrt(binom[None, :] / binom[:, None])
+
+
+def symmetric_compression(rho: DensityOperator, n: int) -> DensityOperator:
+    """The Schur-Weyl compression (+)_j m_j pi_j(rho) of a qubit tensor power.
+
+    By Schur-Weyl duality, rho^(x)n is unitarily equivalent to
+    (+)_j pi_j(rho) (x) I_{m_j} over j = n/2, n/2 - 1, ... >= 0, with
+    pi_j(A) = det(A)^{n/2 - j} Sym^{2j}(A) and
+    m_j = C(n, n/2 - j) - C(n, n/2 - j - 1).  The compression is the image of
+    rho^(x)n under the CPTP map that traces out the multiplicity spaces, and
+    the CPTP map appending I / m_j to each block maps it back.  A pair
+    compressed this way is therefore equivalent to the n-copy pair: every
+    divergence with data processing takes the same value, block j of
+    rho~ - t sigma~ is m_j times the n-copy block, so spectral projectors
+    {rho~ >= t sigma~} carry the same masses, and a smoothing certificate
+    built on the compressed pair lifts to one on the n-copy pair by appending
+    I / m_j.  The dimension is floor((n + 2)^2 / 4) in place of 2^n, and the
+    dense size guard applies to it; n = 1 returns rho.  A rank-1 rho has
+    det = 0, so every block but j = n/2 vanishes.
+    """
+    if rho.dim != 2:
+        raise ValidationError(f"symmetric_compression needs a qubit state, got dimension {rho.dim}")
+    _check_copy_counts([n])
+    dim = (n + 2) ** 2 // 4
+    if dim > DENSE_DIM_GUARD:
+        raise ValidationError(f"compressed dimension {dim} exceeds the dense guard {DENSE_DIM_GUARD}")
+    a = rho.mat
+    # rounding can leave a rank-1 state's determinant slightly negative
+    det = max(float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real), 0.0)
+    powers = ([np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)])
+    for _ in range(n):
+        for c in (0, 1):
+            powers[c].append(np.convolve(powers[c][-1], a[:, c]))
+    out = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for k in range(n, -1, -2):  # k = 2j
+        depth = (n - k) // 2     # n/2 - j
+        mult = math.comb(n, depth) - (math.comb(n, depth - 1) if depth else 0)
+        out[start:start + k + 1, start:start + k + 1] = mult * det**depth * _symmetric_power(k, powers)
+        start += k + 1
+    return DensityOperator.from_matrix(out)
+
+
+def _n_copy_pair(pair: IIDPair, n: int) -> tuple:
+    """An operator pair equivalent to (rho^(x)n, sigma^(x)n): the Schur-Weyl
+    compressions for qubits, the tensor powers otherwise."""
+    power = symmetric_compression if pair.rho.dim == 2 else tensor_power
+    return power(pair.rho, n), power(pair.sigma, n)
 
 
 def joint_eigen_probabilities(pair: IIDPair) -> tuple:
@@ -140,11 +210,15 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
                    weight: str = "rho", method: str = "auto") -> float:
     """Tr[{rho^(n) >= 2^{n gamma} sigma^(n)} X^(n)] with X = rho or sigma.
 
-    ``method`` selects the dense tensor-power path, the commuting type-class
-    fast path, or automatic dispatch.
+    ``method`` selects the dense path, the commuting type-class fast path, or
+    automatic dispatch.  The dense path works on the Schur-Weyl compressed
+    pair for qubits (``symmetric_compression``), whose projector carries the
+    n-copy masses, and on the tensor powers otherwise.  n must be an integer
+    >= 1.
     """
     if weight not in ("rho", "sigma"):
         raise ValueError("weight must be 'rho' or 'sigma'")
+    _check_copy_counts([n])
     threshold = n * gamma_bits
     use_fast = method == "fast" or (method == "auto" and pair.commuting)
     if use_fast:
@@ -155,8 +229,7 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
         return _mass(logs, mask)
     if method == "fast":
         raise ValidationError("fast path requires a commuting pair")
-    rho_n = tensor_power(pair.rho, n).mat
-    sigma_n = tensor_power(pair.sigma, n).mat
+    rho_n, sigma_n = (x.mat for x in _n_copy_pair(pair, n))
     proj, _ = _spectral_projectors(rho_n - (2.0**threshold) * sigma_n, ">=")
     target = rho_n if weight == "rho" else sigma_n
     return max(float(np.trace(proj @ target).real), 0.0)
@@ -201,10 +274,16 @@ def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
     Commuting pairs work on type classes: D_max is the exact classical smooth
     value, and D_min is the projector-sweep lower bound under the
     gentle-measurement budget 2 sqrt(delta) <= eps for the deleted rho-mass
-    delta.  General pairs use the dense solvers under the size guard.
+    delta.  General pairs use the dense solvers under the size guard, on the
+    Schur-Weyl compressed pair for qubits (``symmetric_compression``): the
+    smoothers read only data-processing divergences and projector masses,
+    which it shares with the n-copy pair, and their certificates lift to the
+    n-copy pair.  Every n must be an integer >= 1.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0, 1)")
+    n_list = list(n_list)
+    _check_copy_counts(n_list)
     rel = relative_entropy(pair.rho.mat, pair.sigma.mat)
     points = []
     if pair.commuting:
@@ -218,8 +297,7 @@ def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
                                     dmin_over_n=dmin_n / n, rel_entropy=rel.bits))
         return points
     for n in n_list:
-        rho_n = tensor_power(pair.rho, n)
-        sigma_n = tensor_power(pair.sigma, n)
+        rho_n, sigma_n = _n_copy_pair(pair, n)
         dmax_n = smooth_dmax_upper(rho_n, sigma_n, eps).lambda_bits
         # sigma is a state, so D_min >= 0: as on the commuting path, the floor
         # removes rounding below zero and max turns -0.0 into +0.0

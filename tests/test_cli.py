@@ -177,8 +177,15 @@ def test_smooth_bound_eps_zero_is_validation_error(runner, files, quantity):
     ["smooth", "--quantity", "dmax", "--mode", "exact", "--eps", "-1",
      "--rho", "rho.json", "--sigma", "sigma.json"],
     ["emax", "--state", "rho.json", "--dims", "2,2"],
+    ["smooth", "--quantity", "dmax", "--eps", "nan", "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["smooth", "--quantity", "dmin", "--eps", "nan", "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["smooth", "--quantity", "dmax", "--mode", "exact", "--eps", "nan",
+     "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["compute", "--quantity", "dmax", "--rho", "rho.json", "--sigma", "bell.json"],
+    ["converge", "--nmax", "2", "--rho", "bell.json", "--sigma", "sigma.json"],
 ], ids=["renyi-alpha-1.5", "renyi-alpha-0", "converge-eps", "suite-dims", "gen-channel-dim",
-        "smooth-eps", "emax-dims"])
+        "smooth-eps", "emax-dims", "smooth-dmax-eps-nan", "smooth-dmin-eps-nan",
+        "smooth-exact-eps-nan", "compute-dim-mismatch", "converge-dim-mismatch"])
 def test_bad_input_is_validation_error(runner, files, args, monkeypatch):
     monkeypatch.chdir(files)
     res = runner.invoke(main, args)
@@ -250,3 +257,22 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_converge_noncommuting_qubits_beyond_dense_guard(runner, tmp_path):
+    # 2^14 exceeds the dense guard of 4096, the compressed 64 x 64 pair does not
+    rng = np.random.default_rng([0, 0])
+    for name in ("rho", "sigma"):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = g @ g.conj().T
+        write_state_file(tmp_path / f"{name}.json", 0.25 * np.eye(2) + 0.5 * m / np.trace(m).real)
+    res = runner.invoke(main, ["converge", "--nmax", "14",
+                               "--rho", str(tmp_path / "rho.json"),
+                               "--sigma", str(tmp_path / "sigma.json")])
+    assert res.exit_code == 0, res.output
+    rows = res.output.strip().splitlines()
+    assert rows[0] == "n,eps,dmax_over_n,dmin_over_n,rel_entropy"
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, 15))
+    for row in rows[1:]:
+        _, _, dmax_over_n, dmin_over_n, _ = (float(x) for x in row.split(","))
+        assert 0.0 <= dmin_over_n <= dmax_over_n

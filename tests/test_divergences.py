@@ -21,6 +21,7 @@ from qdiv.divergences import (
     renyi_relative,
 )
 from qdiv.operators import DensityOperator, Spectrum, ValidationError, random_density
+from qdiv.spectral import IIDPair
 
 P = np.diag([0.75, 0.25]).astype(complex)
 Q = np.diag([0.5, 0.5]).astype(complex)
@@ -227,3 +228,17 @@ def test_sigma_must_be_psd():
     bad = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(ValidationError):
         d_max(P, bad)
+
+
+@pytest.mark.parametrize("pair_function", [
+    d_max, d_min, relative_entropy, lambda r, s: renyi_relative(r, s, 0.5), chernoff_bound,
+    divergence_report, lambda r, s: IIDPair(rho=r, sigma=s),
+], ids=["d_max", "d_min", "relative_entropy", "renyi_relative", "chernoff_bound",
+        "divergence_report", "IIDPair"])
+@pytest.mark.parametrize("swap", [False, True])
+def test_pair_shape_mismatch_is_validation_error(pair_function, swap):
+    # these used to end in numpy's matmul or broadcast ValueError
+    small, large = random_density(2, 2, 0), random_density(3, 3, 1)
+    rho, sigma = (large, small) if swap else (small, large)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        pair_function(rho, sigma)

@@ -123,6 +123,15 @@ def test_smooth_dmax_exact_edges():
         smooth_dmax_exact(RHO, SIGMA, 0.0)
 
 
+@pytest.mark.parametrize("smoother", [smooth_dmax_upper, smooth_dmin_lower, smooth_dmax_exact])
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -0.1])
+def test_smoothers_reject_non_positive_eps(smoother, eps):
+    # NaN used to pass the eps <= 0 test: the bound smoothers returned the
+    # unsmoothed values, the exact solver ended in SolverError
+    with pytest.raises(ValidationError, match="eps must be positive"):
+        smoother(RHO, SIGMA, eps)
+
+
 def test_smooth_dmax_exact_below_upper():
     rng = np.random.default_rng(23)
     for _ in range(5):

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from qdiv.divergences import d_max, relative_entropy
-from qdiv.operators import DensityOperator, ValidationError, random_density
-from qdiv.smoothing import smooth_dmax_exact_classical
+from qdiv.operators import (
+    DensityOperator,
+    Spectrum,
+    ValidationError,
+    compare_projector,
+    random_density,
+)
+from qdiv.smoothing import (
+    smooth_dmax_exact,
+    smooth_dmax_exact_classical,
+    smooth_dmax_upper,
+    smooth_dmin_lower,
+)
 from qdiv.spectral import (
     IIDPair,
     _compositions,
@@ -13,6 +24,7 @@ from qdiv.spectral import (
     lemma2_bound_check,
     rate_curve,
     spectral_trace,
+    symmetric_compression,
     tensor_power,
     type_table,
 )
@@ -239,8 +251,9 @@ def test_rate_curve_dense_near_singular_sigma():
     # sigma's eigenvalues are 0.0123 and 0.9877, so sigma^(x)5 has condition
     # number 3e9; there the contraction at lambda = D_max used to lift the
     # smoothed trace to 1 + 1.2e-8 and fail the state check.  n = 6 still
-    # raises the support error: sigma^(x)6 falls below SUPPORT_RTOL, which
-    # waits for the Schur-Weyl block representation (ROADMAP.md, item 4).
+    # raises the support error: the j = n/2 block of the compressed pair has
+    # m = 1 and holds both extremes of sigma^(x)6, whose ratio falls below
+    # SUPPORT_RTOL (ROADMAP.md, item 10).
     rng = np.random.default_rng([2, 2])
     rho = DensityOperator.from_matrix(_ginibre_qubit(rng))
     sigma = DensityOperator.from_matrix(_ginibre_qubit(rng))
@@ -296,3 +309,134 @@ def test_rate_curve_dense_path_noncommuting():
         assert pt.dmin_over_n <= pt.dmax_over_n + 1e-6
         assert math.isfinite(pt.dmax_over_n)
         assert pt.rel_entropy == pytest.approx(rel)
+
+
+def test_rate_curve_and_spectral_trace_reject_bad_n():
+    # one check for both paths: the commuting pair used to fail with
+    # ZeroDivisionError or IndexError, the dense path with a bare ValueError,
+    # and the fast spectral trace returned 1.0 at n = 0
+    for pair in (PAIR, noncommuting_pair()):
+        for n_list in ([0], [-1], [1, 0], [1.5], [2.0]):
+            with pytest.raises(ValidationError, match="integer >= 1"):
+                rate_curve(pair, 0.05, n_list)
+    for n in (0, -1, 1.5):
+        for method in ("fast", "dense"):
+            with pytest.raises(ValidationError, match="integer >= 1"):
+                spectral_trace(PAIR, n, 0.1, method=method)
+
+
+# ------------------- Schur-Weyl compression of qubit pairs -------------------
+
+def _half_mixed_qubit(rng):
+    return 0.25 * np.eye(2) + 0.5 * _ginibre_qubit(rng)
+
+
+def _qubit_pairs(seed):
+    """Random qubit pairs: full-rank, half-mixed, and a pure rho."""
+    rng = np.random.default_rng([7, seed])
+    half = _half_mixed_qubit(rng)
+    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    sigma = _ginibre_qubit(rng)
+    return [IIDPair(rho=DensityOperator.from_matrix(r), sigma=DensityOperator.from_matrix(sigma))
+            for r in (_ginibre_qubit(rng), half, pure)]
+
+
+def _multiplicities(n):
+    """(block dimension 2j + 1, multiplicity m_j) for j = n/2, n/2 - 1, ..."""
+    return [(n - 2 * depth + 1,
+             math.comb(n, depth) - (math.comb(n, depth - 1) if depth else 0))
+            for depth in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetric_compression_spectrum_matches_tensor_power(seed):
+    for pair in _qubit_pairs(seed):
+        for n in range(1, 9):
+            rho_c, sigma_c = symmetric_compression(pair.rho, n), symmetric_compression(pair.sigma, n)
+            rho_n, sigma_n = tensor_power(pair.rho, n), tensor_power(pair.sigma, n)
+            blocks = _multiplicities(n)
+            assert sum(dim * m for dim, m in blocks) == 2**n
+            assert rho_c.dim == sum(dim for dim, _ in blocks) == (n + 2) ** 2 // 4
+            assert abs(rho_c.trace - 1.0) <= 1e-12 and abs(sigma_c.trace - 1.0) <= 1e-12
+            for t in (0.0, 0.3, 1.0, 2.5):
+                diff = rho_c.mat - t * sigma_c.mat
+                spectrum, start = [], 0
+                for dim, m in blocks:
+                    block = diff[start:start + dim, start:start + dim]
+                    spectrum.append(np.repeat(np.linalg.eigvalsh(block) / m, m))
+                    start += dim
+                expected = np.linalg.eigvalsh(rho_n.mat - t * sigma_n.mat)
+                assert np.abs(np.sort(np.concatenate(spectrum)) - expected).max() <= 1e-12
+
+
+def test_symmetric_compression_single_copy_is_rho():
+    for pair in _qubit_pairs(0):
+        assert np.array_equal(symmetric_compression(pair.rho, 1).mat, pair.rho.mat)
+
+
+def test_symmetric_compression_rejects_bad_input():
+    with pytest.raises(ValidationError, match="qubit"):
+        symmetric_compression(random_density(3, 3, 0), 2)
+    with pytest.raises(ValidationError):
+        symmetric_compression(RHO, 0)
+    # floor((126 + 2)^2 / 4) = 4096 is the last compressed dimension allowed
+    with pytest.raises(ValidationError, match="guard"):
+        symmetric_compression(RHO, 127)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_qubit_operator_path_matches_kronecker_path(seed):
+    eps = 0.05
+    for pair in _qubit_pairs(seed)[:2] + [noncommuting_pair()]:
+        points = rate_curve(pair, eps, [1, 2, 3, 4, 5])
+        for pt in points:
+            rho_n, sigma_n = tensor_power(pair.rho, pt.n), tensor_power(pair.sigma, pt.n)
+            dmax = smooth_dmax_upper(rho_n, sigma_n, eps).lambda_bits
+            dmin = max(0.0, smooth_dmin_lower(rho_n, sigma_n, eps))
+            assert pt.dmax_over_n == pytest.approx(dmax / pt.n, abs=1e-10)
+            # where rho^(x)n has eigenvalues below SUPPORT_RTOL times its
+            # largest (seed 0's first rho, eigenvalue ratio 7.3e-4, from n = 4
+            # on), D_min is decided by the directions the cutoff drops (ROADMAP.md,
+            # item 10); both paths drop the same ones, and the sigma-overlap of
+            # the rest differs by the rounding of those eigenvectors, up to
+            # 1.7e-10 bits per copy
+            cut = Spectrum.of(rho_n).support.sum() < rho_n.dim
+            assert pt.dmin_over_n == pytest.approx(dmin / pt.n, abs=1e-9 if cut else 1e-10)
+            for gamma in (-0.5, 0.0, 0.3, 1.0):
+                scaled = 2.0 ** (pt.n * gamma) * sigma_n.mat
+                proj = compare_projector(rho_n.mat, scaled, ">=").mat
+                for weight, target in (("rho", rho_n.mat), ("sigma", sigma_n.mat)):
+                    dense = max(float(np.trace(proj @ target).real), 0.0)
+                    got = spectral_trace(pair, pt.n, gamma, weight=weight, method="dense")
+                    assert got == pytest.approx(dense, abs=1e-10)
+
+
+def test_smooth_dmax_exact_on_compressed_pair_matches_tensor_power():
+    pair = _qubit_pairs(0)[1]
+    for n in (1, 2, 3, 4):
+        compressed = smooth_dmax_exact(symmetric_compression(pair.rho, n),
+                                       symmetric_compression(pair.sigma, n), 0.1)
+        dense = smooth_dmax_exact(tensor_power(pair.rho, n), tensor_power(pair.sigma, n), 0.1)
+        assert compressed == pytest.approx(dense, abs=1e-8)
+
+
+def test_qubit_path_factors_only_compressed_matrices(monkeypatch):
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    # half-mixed states keep sigma^(x)12 above the support cutoff
+    rng = np.random.default_rng([7, 9])
+    pair = IIDPair(rho=DensityOperator.from_matrix(_half_mixed_qubit(rng)),
+                   sigma=DensityOperator.from_matrix(_half_mixed_qubit(rng)))
+    for n in (3, 6, 9, 12):
+        sizes.clear()
+        rate_curve(pair, 0.05, [n])
+        spectral_trace(pair, n, 0.2, method="dense")
+        assert sizes and max(sizes) == (n + 2) ** 2 // 4
