@@ -184,19 +184,15 @@ def smooth(ctx, quantity, rho_path, sigma_path, eps, mode):
 @main.command(name="emax")
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--dims", default=None)
-@click.option("--restarts", type=int, default=2, show_default=True,
-              help="Search restarts; beyond 2x2 only.")
-@click.option("--terms", type=int, default=None,
-              help="Witness size the search prunes back to once it doubles; "
-                   "beyond 2x2 only.")
 @click.option("--seed", "cmd_seed", type=int, default=None,
-              help="Overrides the global --seed for this run; beyond 2x2 only.")
-@click.option("--iters", type=int, default=300, show_default=True,
-              help="Conditional-gradient iterations per search step; beyond 2x2 only.")
+              help="Overrides the global --seed for the random pricing starts; "
+                   "beyond 2x2 only.")
+@click.option("--iters", type=int, default=ent.EMAX_ROUNDS, show_default=True,
+              help="Column-generation rounds; beyond 2x2 only.")
 @click.pass_context
-def emax_cmd(ctx, state_path, dims, restarts, terms, cmd_seed, iters):
+def emax_cmd(ctx, state_path, dims, cmd_seed, iters):
     """Two-sided E_max estimate with a reassemblable separable witness:
-    exact in 2x2 (gap below 1e-6), searched in larger systems."""
+    exact in 2x2 (gap below 1e-6), by column generation in larger systems."""
 
     def work():
         loaded = parse_state_file(state_path)
@@ -207,7 +203,7 @@ def emax_cmd(ctx, state_path, dims, restarts, terms, cmd_seed, iters):
         else:
             raise op.ValidationError("emax needs --dims or a state file with 'dims'")
         seed = cmd_seed if cmd_seed is not None else ctx.obj["seed"]
-        result = ent.emax(state, terms=terms, restarts=restarts, seed=seed, iters=iters)
+        result = ent.emax(state, seed=seed, iters=iters)
         witness = [
             {"weight": w,
              "a": [[float(z.real), float(z.imag)] for z in a],
@@ -230,18 +226,14 @@ def emax_cmd(ctx, state_path, dims, restarts, terms, cmd_seed, iters):
 @click.option("--sigma", "sigma_path", required=True, type=click.Path())
 @click.option("--eps", type=float, default=0.05, show_default=True)
 @click.option("--nmax", type=int, required=True)
-@click.option("--fast-classical", is_flag=True, default=False,
-              help="Require the commuting type-class path (errors if the pair does not commute).")
 @click.pass_context
-def converge(ctx, rho_path, sigma_path, eps, nmax, fast_classical):
+def converge(ctx, rho_path, sigma_path, eps, nmax):
     """Per-n smoothed divergence rates as CSV."""
 
     def work():
         rho = _load_density(rho_path)
         sigma = _load_density(sigma_path)
         pair = sp.IIDPair(rho=rho, sigma=sigma)
-        if fast_classical and not pair.commuting:
-            raise op.ValidationError("--fast-classical requires a commuting pair")
         points = sp.rate_curve(pair, eps, list(range(1, nmax + 1)))
         lines = ["n,eps,dmax_over_n,dmin_over_n,rel_entropy"]
         for pt in points:

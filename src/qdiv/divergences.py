@@ -18,7 +18,6 @@ from .operators import (
     ValidationError,
     _as_matrix,
     _matched_matrices,
-    _spectral_projectors,
     hermitian_part,
     partial_trace_matrix,
     support_projector,
@@ -86,15 +85,6 @@ def d_max(rho, sigma) -> DivergenceValue:
     w = spec.apply(lambda x: 1.0 / np.sqrt(x), on_support=True)
     mu = np.linalg.eigvalsh(hermitian_part(w @ rm @ w))[-1]
     return DivergenceValue.of(math.log2(max(mu, 1e-300)))
-
-
-def d_max_witness_residual(rho, sigma, bits: float) -> float:
-    """Self-check against the two-projector form: Tr[{rho >= lam sigma}(rho - lam sigma)]
-    evaluated at lam = 2**bits; near zero iff bits dominates rho."""
-    rm, sm = _matched_matrices(rho, sigma)
-    diff = rm - 2.0**bits * sm
-    p, _ = _spectral_projectors(diff, ">=")
-    return float(np.trace(p @ diff).real)
 
 
 def d_max_forms(rho, sigma) -> tuple:

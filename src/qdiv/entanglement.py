@@ -5,8 +5,10 @@ two-sided certificate: an upper bound from an explicit separable ensemble
 (reassemblable by the caller) and a convex lower bound from the PPT relaxation,
 certified by a feasible point of its dual semidefinite program.  In 2x2, where
 PPT equals separable, the ensemble is the PPT optimum itself, decomposed into
-at most four product states, and the gap is below 1e-6.  Larger systems search
-for the ensemble by bisection over conditional-gradient feasibility.
+at most four product states, and the gap is below 1e-6.  Larger systems build
+the ensemble by column generation: each round solves one semidefinite program
+for the weights of the product states held so far, and its dual prices the
+next product state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sdp import hermitian_basis, hermitian_coordinates, solve_lmi
+from ._sdp import SolverError, hermitian_basis, hermitian_coordinates, solve_lmi
 from .divergences import d_max
 from .operators import (
     DensityOperator,
@@ -35,6 +37,13 @@ PPT_EIG_TOL = 1e-9
 BARRIER_WEIGHT = 1e-6
 REL_ENT_ITERS = 400
 MONOTONE_TOL = 1e-8  # bits
+# column generation for E_max beyond 2x2
+EMAX_ROUNDS = 80
+COLUMN_START = 1e-2
+PRICE_MARGIN = 1e-6   # above the solver's FEAS_RTOL of 1e-7
+DROP_RTOL = 1e-8
+KEEP_ROUNDS = 10
+GAP_STOP = 1e-9       # bits
 
 
 @dataclass(frozen=True)
@@ -226,34 +235,22 @@ def _wootters_terms(sigma: np.ndarray) -> list:
 # Separable ensemble upper bounds
 # ---------------------------------------------------------------------------
 
-def _basis_terms(dims) -> list:
-    da, db = dims
-    w = 1.0 / (da * db)
-    terms = []
-    for i in range(da):
-        for j in range(db):
-            a = np.zeros(da, dtype=complex)
-            b = np.zeros(db, dtype=complex)
-            a[i] = 1.0
-            b[j] = 1.0
-            terms.append((w, a, b))
-    return terms
-
-
-def _best_product_state(g: np.ndarray, dims: tuple, sweeps: int = 6) -> tuple:
+def _best_product_state(g: np.ndarray, dims: tuple, starts=None, sweeps: int = 6) -> tuple:
     """Maximize <a (x) b| G |a (x) b> by alternating top-eigenvector updates.
 
-    Deterministic: the sweeps start from the top eigenvectors of the partial
-    traces of G, which keeps the whole search covariant under local unitaries.
+    The sweeps start from the vectors of B in ``starts``.  By default these
+    are the top eigenvectors of the partial traces of G, which keeps the
+    search deterministic and covariant under local unitaries.
     """
     da, db = dims
     g4 = g.reshape(da, db, da, db)
-    tr_a = hermitian_part(np.einsum("abad->bd", g4))
-    tr_b = hermitian_part(np.einsum("abcb->ac", g4))
-    b_init = np.linalg.eigh(tr_a)[1][:, -1]
-    a_init = np.linalg.eigh(tr_b)[1][:, -1]
-    mb0 = hermitian_part(np.einsum("abcd,a,c->bd", g4, a_init.conj(), a_init))
-    starts = (b_init, np.linalg.eigh(mb0)[1][:, -1])
+    if starts is None:
+        tr_a = hermitian_part(np.einsum("abad->bd", g4))
+        tr_b = hermitian_part(np.einsum("abcb->ac", g4))
+        b_init = np.linalg.eigh(tr_a)[1][:, -1]
+        a_init = np.linalg.eigh(tr_b)[1][:, -1]
+        mb0 = hermitian_part(np.einsum("abcd,a,c->bd", g4, a_init.conj(), a_init))
+        starts = (b_init, np.linalg.eigh(mb0)[1][:, -1])
     best = (-math.inf, None, None)
     for b in starts:
         a = None
@@ -276,90 +273,18 @@ def _prune_terms(terms, max_terms: int) -> list:
     return [(w / total, a, b) for w, a, b in terms]
 
 
-def _reweight_lammin(rm: np.ndarray, dims, t: float, terms, steps: int = 25) -> list:
-    """Exponentiated-gradient ascent on the mixture weights for
-    lambda_min(t sigma - rho), the product vectors held fixed."""
-    mats = [np.outer(np.kron(a, b), np.kron(a, b).conj()) for _, a, b in terms]
-    w = np.array([wt for wt, _, _ in terms])
-
-    def lammin(weights):
-        sigma = sum(float(x) * m for x, m in zip(weights, mats))
-        vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
-        return vals[0], vecs[:, 0]
-
-    cur, vec = lammin(w)
-    for _ in range(steps):
-        grad = np.array([t * float(np.real(vec.conj() @ m @ vec)) for m in mats])
-        cand = w * np.exp(2.0 * (grad - grad.max()))
-        cand /= cand.sum()
-        val, v2 = lammin(cand)
-        if val > cur:
-            w, cur, vec = cand, val, v2
-        else:
-            break
-    return [(float(x), a, b) for x, (_, a, b) in zip(w, terms) if x > 1e-12]
-
-
-def _schmidt_terms(rm: np.ndarray, dims: tuple) -> list:
-    """Product ensemble from the Schmidt decompositions of the eigenvectors,
-    sum_k w_k sum_j s_kj |a_kj b_kj><a_kj b_kj| normalized, with w_k the
-    eigenvalues and s_kj the Schmidt coefficients.  A locally covariant
-    starting point; for a pure state it is the separable state at which
-    D_max attains E_max = 2 log2 sum_j s_j."""
+def _schmidt_columns(rm: np.ndarray, dims: tuple) -> list:
+    """Product columns (a, b) from the Schmidt decompositions of the
+    eigenvectors of rho, those with eigenvalue and Schmidt coefficient above
+    1e-12.  A locally covariant start; for a pure state they span the
+    separable state at which D_max attains E_max = 2 log2 sum_j s_j."""
     da, db = dims
     w, v = np.linalg.eigh(rm)
-    terms = []
-    for k in range(len(w)):
-        if w[k] <= 1e-12:
-            continue
+    columns = []
+    for k in np.flatnonzero(w > 1e-12):
         u_, s, vt = np.linalg.svd(v[:, k].reshape(da, db))
-        terms += [(float(w[k] * s[j]), u_[:, j], vt[j]) for j in range(len(s)) if s[j] > 1e-12]
-    total = sum(wt for wt, _, _ in terms)
-    return [(wt / total, a, b) for wt, a, b in terms]
-
-
-def _separable_feasibility(rm: np.ndarray, dims: tuple, t: float, terms,
-                           iters: int, max_terms: int):
-    """Conditional-gradient ascent of lambda_min(t sigma - rho) over the
-    separable set; returns (lambda_min, terms) for the working ensemble,
-    which is pruned back to max_terms whenever it grows past twice that."""
-    terms = list(terms)
-    sigma = _mixture_matrix(terms)
-    vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
-    cur = vals[0]
-    tau = max(0.2 * (vals[-1] - vals[0]), 1e-3)
-    eta_grid = (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02, 0.008, 0.003)
-    for it in range(iters):
-        if cur >= -1e-10:
-            break
-        logits = -(vals - vals[0]) / tau
-        soft = np.exp(logits)
-        soft /= soft.sum()
-        g = (vecs * soft) @ vecs.conj().T
-        _, a, b = _best_product_state(g, dims)
-        pvec = np.kron(a, b)
-        pmat = np.outer(pvec, pvec.conj())
-        best_eta, best_val = 0.0, cur
-        for eta in eta_grid:
-            trial = t * ((1.0 - eta) * sigma + eta * pmat) - rm
-            val = float(np.linalg.eigvalsh(hermitian_part(trial))[0])
-            if val > best_val:
-                best_eta, best_val = eta, val
-        if best_eta > 0.0:
-            terms = [(w * (1.0 - best_eta), av, bv) for w, av, bv in terms]
-            terms.append((best_eta, a, b))
-            if len(terms) > 2 * max_terms:
-                terms = _prune_terms(terms, max_terms)
-        else:
-            tau *= 0.6
-            if tau < 1e-7:
-                break
-        if (it + 1) % 20 == 0:
-            terms = _reweight_lammin(rm, dims, t, terms)
-        sigma = _mixture_matrix(terms)
-        vals, vecs = np.linalg.eigh(hermitian_part(t * sigma - rm))
-        cur = vals[0]
-    return cur, terms
+        columns += [(u_[:, j], vt[j]) for j in range(len(s)) if s[j] > 1e-12]
+    return columns
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
@@ -377,82 +302,104 @@ def _ensemble_from_terms(terms) -> SeparableEnsemble:
 
 
 def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
-         seed=0, iters: int = 300) -> EmaxResult:
+         seed=0, iters: int = EMAX_ROUNDS) -> EmaxResult:
     """Two-sided E_max estimate: an upper bound D_max(rho||sigma_sep) against
     an explicit separable witness, and the PPT relaxation lower bound.
 
     In 2x2 the witness is the PPT optimum itself, decomposed into product
     states (``_wootters_terms``), so the gap is below 1e-6.  Larger systems
-    search for the witness by bisection plus conditional-gradient
-    feasibility; ``terms``, ``restarts``, ``seed`` and ``iters`` tune only
-    that search."""
+    build the witness by column generation (``_column_generation``):
+    ``iters`` caps its rounds, ``restarts`` is the number of random pricing
+    starts drawn from ``seed`` when the deterministic ones find no column,
+    and ``terms`` caps the product columns beyond the computational basis
+    (default (d_A d_B)^2).  The four have no effect in 2x2."""
     rm = state.state.mat
-    lower = ppt_emax_lower(state)
     if state.dims == (2, 2):
+        lower = ppt_emax_lower(state)
         optimum = _ppt_optimum(rm, state.dims)
         best_terms = _wootters_terms((1.0 - WITNESS_MIX) * optimum + WITNESS_MIX * np.eye(4) / 4)
     else:
-        best_terms = _searched_terms(state, lower, terms, restarts, seed, iters)
+        try:
+            lower = ppt_emax_lower(state)
+        except SolverError:   # E_max >= 0 holds without a certificate
+            lower = 0.0
+        best_terms = _column_generation(state, lower, terms, restarts, seed, iters)
     witness = _ensemble_from_terms(best_terms)
     upper = d_max(rm, witness.assemble().mat).bits
     return EmaxResult(upper_bits=upper, lower_bits=min(lower, upper),
                       witness=witness, gap=max(upper - min(lower, upper), 0.0))
 
 
-def _searched_terms(state: BipartiteState, lower: float, terms, restarts, seed,
-                    iters) -> list:
-    """Product terms of a separable state close to the optimum, found by a
-    bisection on D_max over conditional-gradient feasibility searches."""
-    da, db = state.dims
-    rm = state.state.mat
-    max_terms = terms if terms is not None else (da * db) ** 2
+def _master(rm: np.ndarray, columns: list, y0: np.ndarray) -> tuple:
+    """min sum_i y_i subject to sum_i y_i |a_i b_i><a_i b_i| - rho >= 0 and
+    y >= 0, over the product columns (a_i, b_i), as one ``solve_lmi`` call
+    with one d x d block and a 1 x 1 block per weight.  y0 must be strictly
+    feasible; the dual starts at Z = I/2 and z_i = 1/2, which meets the dual
+    equalities <a_i b_i|Z|a_i b_i> + z_i = 1 exactly.  Returns the weights,
+    strictly feasible, and the dual matrix Z of the d x d block."""
+    k, d = len(columns), rm.shape[0]
+    vecs = np.array([np.outer(a, b).ravel() for a, b in columns])
+    projs = vecs[:, :, None] * vecs.conj()[:, None, :]
+    units = np.eye(k)[:, :, None, None]
+    blocks = [(-rm, projs)] + [(np.zeros((1, 1)), units[:, i]) for i in range(k)]
+    y, zs, _ = solve_lmi(np.ones(k), blocks, y0,
+                         [np.eye(d) / 2] + [np.full((1, 1), 0.5)] * k)
+    return y, zs[0]
+
+
+def _column_generation(state: BipartiteState, lower: float, terms, restarts, seed,
+                       iters) -> list:
+    """Product terms of a separable state close to the optimum, by column
+    generation on min{Tr Y : Y - rho >= 0, Y separable}, whose optimum is
+    2^E_max.
+
+    Each round solves the master program (``_master``) over the columns
+    held so far; log2 sum_i y_i is then an upper bound, certified by the
+    weights.  The computational-basis columns are always held and start at
+    y = 2 (their sum is I, and rho <= I), the others at y = COLUMN_START, so
+    the start is strictly feasible.  Pricing adds the product state that
+    maximizes <ab|Z|ab> on the dual matrix Z, while that value exceeds
+    1 + PRICE_MARGIN.  A column beyond the basis is dropped once its weight
+    is at most DROP_RTOL sum_i y_i, unless it entered within the last
+    KEEP_ROUNDS rounds; once more than 2 ``terms`` such columns are held,
+    only the ``terms`` heaviest are kept.  The search stops when no column
+    enters, log2 sum_i y_i comes within GAP_STOP of ``lower``, ``iters``
+    rounds have run, or a master raises SolverError; the last solved master
+    (or the start) is the witness."""
+    rm, (da, db) = state.state.mat, state.dims
+    d = da * db
+    cap = terms if terms is not None else d * d
     rng = _rng(seed)
-    base = _schmidt_terms(rm, state.dims)
-    if not d_max(rm, _mixture_matrix(base)).finite:
-        base = base + _basis_terms(state.dims)
-        base = [(0.5 * w, a, b) for w, a, b in base]
-    best_terms = base
-    upper = d_max(rm, _mixture_matrix(base)).bits
-    for restart in range(max(restarts, 1)):
-        lo, hi = max(lower - 2e-3, 0.0), upper
-        start = list(best_terms) if restart == 0 else _random_product_terms(state.dims, rng, max_terms)
-        while hi - lo > 2e-3:
-            mid = 0.5 * (lo + hi)
-            achieved, cand = _separable_feasibility(rm, state.dims, 2.0**mid,
-                                                    start, iters, max_terms)
-            start = list(cand)
-            if achieved >= -1e-10:
-                hi = mid
-                exact = d_max(rm, _mixture_matrix(cand)).bits
-                if exact < upper:
-                    upper, best_terms = exact, cand
-            else:
-                lo = mid
-        # polish: push the achieved upper bound down in small steps
-        for _ in range(4):
-            target = upper - 1.5e-3
-            if target < lower:
-                break
-            achieved, cand = _separable_feasibility(rm, state.dims, 2.0**target,
-                                                    list(best_terms), iters, max_terms)
-            if achieved < -1e-10:
-                break
-            exact = d_max(rm, _mixture_matrix(cand)).bits
-            if exact >= upper:
-                break
-            upper, best_terms = exact, cand
-    return best_terms
+    basis = [(ea, eb) for ea in np.eye(da, dtype=complex) for eb in np.eye(db, dtype=complex)]
+    columns = _schmidt_columns(rm, state.dims)
+    entered = [0] * len(columns)
 
+    def start():
+        return np.r_[np.full(d, 2.0), np.full(len(columns), COLUMN_START)]
 
-def _random_product_terms(dims, rng, count) -> list:
-    da, db = dims
-    terms = []
-    k = max(count // 2, da * db)
-    for _ in range(k):
-        a = rng.standard_normal(da) + 1j * rng.standard_normal(da)
-        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-        terms.append((1.0 / k, a / np.linalg.norm(a), b / np.linalg.norm(b)))
-    return terms
+    y, held = start(), basis + columns
+    for rnd in range(iters):
+        try:
+            y, z = _master(rm, basis + columns, start())
+        except SolverError:
+            break
+        held = basis + columns
+        if math.log2(y.sum()) - lower <= GAP_STOP:
+            break
+        val, a, b = _best_product_state(z, state.dims)
+        if val <= 1.0 + PRICE_MARGIN and restarts > 0:
+            starts = rng.standard_normal((restarts, db)) + 1j * rng.standard_normal((restarts, db))
+            val, a, b = _best_product_state(z, state.dims, starts)
+        if val <= 1.0 + PRICE_MARGIN:
+            break
+        weights = y[d:]
+        keep = [i for i in range(len(columns))
+                if weights[i] > DROP_RTOL * y.sum() or rnd - entered[i] < KEEP_ROUNDS]
+        if len(keep) > 2 * cap:
+            keep = sorted(keep, key=lambda i: -weights[i])[:cap]
+        columns = [columns[i] for i in keep] + [(a, b)]
+        entered = [entered[i] for i in keep] + [rnd]
+    return [(float(w), a, b) for w, (a, b) in zip(y, held)]
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,10 @@ class RatePoint:
 
 
 def tensor_power(rho: DensityOperator, n: int) -> DensityOperator:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if rho.dim**n > DENSE_DIM_GUARD:
-        raise ValidationError(
-            f"dim^n = {rho.dim ** n} exceeds the dense guard {DENSE_DIM_GUARD}; "
-            "use the commuting fast path"
-        )
+    """rho^(x)n as a dense matrix, under the dense size guard; n must be an
+    integer >= 1."""
+    _check_copy_counts([n])
+    _check_dense_dim(rho.dim**n, "dim^n")
     out = rho.mat
     for _ in range(n - 1):
         out = np.kron(out, rho.mat)
@@ -70,8 +67,13 @@ def tensor_power(rho: DensityOperator, n: int) -> DensityOperator:
 
 
 def _check_copy_counts(n_list: list):
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in n_list):
-        raise ValidationError(f"every n must be an integer >= 1, got {n_list}")
+    if not n_list or not all(isinstance(n, numbers.Integral) and n >= 1 for n in n_list):
+        raise ValidationError(f"need one or more n, each an integer >= 1, got {n_list}")
+
+
+def _check_dense_dim(dim: int, what: str):
+    if dim > DENSE_DIM_GUARD:
+        raise ValidationError(f"{what} = {dim} exceeds the dense guard {DENSE_DIM_GUARD}")
 
 
 def _symmetric_power(k: int, powers: tuple) -> np.ndarray:
@@ -109,8 +111,7 @@ def symmetric_compression(rho: DensityOperator, n: int) -> DensityOperator:
         raise ValidationError(f"symmetric_compression needs a qubit state, got dimension {rho.dim}")
     _check_copy_counts([n])
     dim = (n + 2) ** 2 // 4
-    if dim > DENSE_DIM_GUARD:
-        raise ValidationError(f"compressed dimension {dim} exceeds the dense guard {DENSE_DIM_GUARD}")
+    _check_dense_dim(dim, "compressed dimension")
     a = rho.mat
     # rounding can leave a rank-1 state's determinant slightly negative
     det = max(float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real), 0.0)
@@ -207,28 +208,24 @@ def _mass(logs: np.ndarray, mask: np.ndarray) -> float:
 
 
 def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
-                   weight: str = "rho", method: str = "auto") -> float:
+                   weight: str = "rho") -> float:
     """Tr[{rho^(n) >= 2^{n gamma} sigma^(n)} X^(n)] with X = rho or sigma.
 
-    ``method`` selects the dense path, the commuting type-class fast path, or
-    automatic dispatch.  The dense path works on the Schur-Weyl compressed
-    pair for qubits (``symmetric_compression``), whose projector carries the
-    n-copy masses, and on the tensor powers otherwise.  n must be an integer
-    >= 1.
+    Commuting pairs take the type-class path, all others the dense one.  The
+    dense path works on the Schur-Weyl compressed pair for qubits
+    (``symmetric_compression``), whose projector carries the n-copy masses,
+    and on the tensor powers otherwise.  n must be an integer >= 1.
     """
     if weight not in ("rho", "sigma"):
         raise ValueError("weight must be 'rho' or 'sigma'")
     _check_copy_counts([n])
     threshold = n * gamma_bits
-    use_fast = method == "fast" or (method == "auto" and pair.commuting)
-    if use_fast:
+    if pair.commuting:
         p, q = joint_eigen_probabilities(pair)
         table = type_table(p, q, n)
         mask = table.ratio_bits >= threshold - 0.5 * RATIO_QUANTUM
         logs = table.log_p if weight == "rho" else table.log_q
         return _mass(logs, mask)
-    if method == "fast":
-        raise ValidationError("fast path requires a commuting pair")
     rho_n, sigma_n = (x.mat for x in _n_copy_pair(pair, n))
     proj, _ = _spectral_projectors(rho_n - (2.0**threshold) * sigma_n, ">=")
     target = rho_n if weight == "rho" else sigma_n

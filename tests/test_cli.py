@@ -183,25 +183,18 @@ def test_smooth_bound_eps_zero_is_validation_error(runner, files, quantity):
      "--rho", "rho.json", "--sigma", "sigma.json"],
     ["compute", "--quantity", "dmax", "--rho", "rho.json", "--sigma", "bell.json"],
     ["converge", "--nmax", "2", "--rho", "bell.json", "--sigma", "sigma.json"],
+    ["converge", "--nmax", "0", "--rho", "rho.json", "--sigma", "sigma.json"],
+    ["converge", "--nmax", "-1", "--rho", "rho.json", "--sigma", "sigma.json"],
 ], ids=["renyi-alpha-1.5", "renyi-alpha-0", "converge-eps", "suite-dims", "gen-channel-dim",
         "smooth-eps", "emax-dims", "smooth-dmax-eps-nan", "smooth-dmin-eps-nan",
-        "smooth-exact-eps-nan", "compute-dim-mismatch", "converge-dim-mismatch"])
+        "smooth-exact-eps-nan", "compute-dim-mismatch", "converge-dim-mismatch",
+        "converge-nmax-0", "converge-nmax-negative"])
 def test_bad_input_is_validation_error(runner, files, args, monkeypatch):
     monkeypatch.chdir(files)
     res = runner.invoke(main, args)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "validation error:" in res.stderr
-
-
-def test_converge_fast_classical_rejects_noncommuting(runner, files, tmp_path):
-    mat = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    write_state_file(tmp_path / "nc.json", mat)
-    write_state_file(tmp_path / "diag.json", np.diag([0.6, 0.4]).astype(complex))
-    res = runner.invoke(main, ["converge", "--nmax", "2", "--fast-classical",
-                               "--rho", str(tmp_path / "nc.json"),
-                               "--sigma", str(tmp_path / "diag.json")])
-    assert res.exit_code == 1
 
 
 def test_gen_deterministic_and_parseable(runner, tmp_path):
@@ -218,7 +211,7 @@ def test_gen_bipartite_round_trip(runner, tmp_path):
                           "gen", "--kind", "bipartite", "--dims", "2,2"])
     assert res.exit_code == 0
     res2 = invoke(runner, ["emax", "--state", str(tmp_path / "gen.json"),
-                           "--iters", "60", "--restarts", "1"])
+                           "--iters", "60"])
     assert res2.exit_code == 0
 
 

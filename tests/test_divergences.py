@@ -7,7 +7,6 @@ from qdiv.divergences import (
     chernoff_bound,
     d_max,
     d_max_forms,
-    d_max_witness_residual,
     d_min,
     divergence_report,
     h_max,
@@ -56,10 +55,6 @@ def test_dmax_three_forms_agree():
         f1, f2, f3 = d_max_forms(rho, sigma)
         vals = (f1.bits, f2.bits, f3.bits)
         assert max(vals) - min(vals) < 1e-8
-
-
-def test_dmax_witness_residual_near_zero():
-    assert abs(d_max_witness_residual(P, Q, d_max(P, Q).bits)) < 1e-10
 
 
 def test_dmin_partial_support():

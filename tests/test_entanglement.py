@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from qdiv import entanglement
+from qdiv._sdp import SolverError
 from qdiv.entanglement import (
     WITNESS_MIX,
     BipartiteState,
     SeparableEnsemble,
-    _basis_terms,
     _ensemble_from_terms,
     _mixture_matrix,
     _ppt_optimum,
-    _separable_feasibility,
     _wootters_terms,
     _wootters_vectors,
     emax,
@@ -20,6 +19,7 @@ from qdiv.entanglement import (
     ppt_emax_lower,
     rel_ent_entanglement,
 )
+from qdiv.divergences import d_max
 from qdiv.operators import (
     DensityOperator,
     ValidationError,
@@ -207,17 +207,78 @@ def test_emax_eig_calls(monkeypatch):
     assert len(calls) <= 600
 
 
-def test_separable_feasibility_reports_returned_terms():
-    # the value returned belongs to the ensemble returned with it (on this
-    # input the working ensemble is feasible, +0.27, and a copy pruned to
-    # max_terms is not, -0.38)
-    rho = random_density(6, 6, np.random.default_rng(7)).mat
-    t = 4.0
-    achieved, terms = _separable_feasibility(rho, (2, 3), t, _basis_terms((2, 3)),
-                                             iters=4, max_terms=3)
-    assert len(terms) <= 2 * 3
-    assert achieved == pytest.approx(
-        np.linalg.eigvalsh(t * _mixture_matrix(terms) - rho)[0], abs=1e-12)
+def probe_state(dims, s):
+    """The random states of every rank used to gauge E_max beyond 2x2."""
+    d = dims[0] * dims[1]
+    rank = (d, d, d // 2, 2, 1, 3, d - 1, d)[s]
+    return BipartiteState(dims, random_density(d, rank, np.random.default_rng([s, d])))
+
+
+@pytest.fixture(scope="module")
+def emax_2x3():
+    return {s: emax(probe_state((2, 3), s)) for s in range(8)}
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_emax_2x3_gap_and_witness(emax_2x3, s):
+    state, res = probe_state((2, 3), s), emax_2x3[s]
+    # the bisection over conditional-gradient searches left 0.077-0.384 bits
+    # on the mixed states; a pure state's Schmidt columns are optimal
+    assert res.gap <= (1e-10 if s == 4 else 2e-2)
+    assert res.lower_bits == pytest.approx(ppt_emax_lower(state), abs=1e-15)
+    total = 0.0
+    sigma = np.zeros((6, 6), dtype=complex)
+    for w, a, b in res.witness.terms:
+        assert a.shape == (2,) and b.shape == (3,) and w > 0
+        v = np.kron(a, b)
+        sigma += w * np.outer(v, v.conj())
+        total += w
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(res.witness.assemble().mat - sigma).max() <= 1e-12
+    assert d_max(state.state.mat, sigma).bits == pytest.approx(res.upper_bits, abs=1e-9)
+
+
+def test_emax_beyond_2x2_deterministic_for_fixed_seed(emax_2x3):
+    # on this state the deterministic pricing starts miss two entering
+    # columns that the seeded random starts find, so the seed shows
+    state, first = probe_state((2, 3), 2), emax_2x3[2]
+    again = emax(state, seed=0)
+    assert again.upper_bits == first.upper_bits and again.lower_bits == first.lower_bits
+    for (w1, a1, b1), (w2, a2, b2) in zip(first.witness.terms, again.witness.terms, strict=True):
+        assert w1 == w2 and np.array_equal(a1, a2) and np.array_equal(b1, b2)
+    assert emax(state, seed=1).upper_bits != first.upper_bits
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 4])
+def test_emax_beyond_2x2_keeps_last_master_on_solver_error(monkeypatch, fail_at):
+    # call 0 is the PPT bound and call k >= 1 the master of round k - 1; a
+    # failed master leaves the witness of the round before it, or the start
+    state = probe_state((2, 3), 0)
+    reference = emax(state, iters=fail_at - 1 if fail_at else 6)
+    solve = entanglement.solve_lmi
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == fail_at + 1:
+            raise SolverError("injected", iterations=0)
+        return solve(*args)
+
+    monkeypatch.setattr(entanglement, "solve_lmi", failing)
+    res = emax(state, iters=6)
+    assert len(calls) == (7 if fail_at == 0 else fail_at + 1)
+    # without the PPT bound the lower side is E_max >= 0
+    assert res.lower_bits == (0.0 if fail_at == 0 else reference.lower_bits)
+    assert res.upper_bits == reference.upper_bits
+    for (w1, a1, b1), (w2, a2, b2) in zip(res.witness.terms, reference.witness.terms, strict=True):
+        assert w1 == w2 and np.array_equal(a1, a2) and np.array_equal(b1, b2)
+    assert d_max(state.state.mat, res.witness.assemble().mat).bits == res.upper_bits
+
+
+def test_rel_ent_2x3_starts_from_column_generation_witness():
+    # the descent stalled at 0.1006 bits from the searched witness
+    state = BipartiteState((2, 3), random_density(6, 6, np.random.default_rng(0)))
+    assert rel_ent_entanglement(state) <= 0.05
 
 
 def test_emax_witness_is_separable_certificate():

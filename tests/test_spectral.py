@@ -20,6 +20,7 @@ from qdiv.smoothing import (
 from qdiv.spectral import (
     IIDPair,
     _compositions,
+    _n_copy_pair,
     divergence_rate_estimate,
     lemma2_bound_check,
     rate_curve,
@@ -41,6 +42,15 @@ def noncommuting_pair():
                    sigma=DensityOperator.from_matrix(sigma))
 
 
+def dense_trace(pair, n, gamma, weight="rho"):
+    """The dense spectral trace on the n-copy pair, as an oracle for the
+    type-class path: the arithmetic of the library's dense path, with the
+    projector from the public ``compare_projector``."""
+    rho_n, sigma_n = (x.mat for x in _n_copy_pair(pair, n))
+    proj = compare_projector(rho_n, 2.0 ** (n * gamma) * sigma_n).mat
+    return max(float(np.trace(proj @ (rho_n if weight == "rho" else sigma_n)).real), 0.0)
+
+
 def test_tensor_power_basics():
     assert np.allclose(tensor_power(RHO, 1).mat, RHO.mat)
     cube = tensor_power(RHO, 3)
@@ -50,8 +60,15 @@ def test_tensor_power_basics():
 
 
 def test_tensor_power_guard():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="dense guard 4096$"):
         tensor_power(random_density(4, 4, 1), 7)
+
+
+def test_tensor_power_rejects_bad_n():
+    # n = 0 raised a bare ValueError and n = 1.5 a TypeError
+    for n in (0, -1, 1.5):
+        with pytest.raises(ValidationError, match="integer >= 1"):
+            tensor_power(RHO, n)
 
 
 def test_commuting_detection():
@@ -112,14 +129,8 @@ def test_spectral_trace_two_copy_value():
 def test_spectral_trace_paths_agree():
     for n in (1, 2, 3, 4):
         for gamma in (-0.5, 0.0, 0.2, 0.4):
-            fast = spectral_trace(PAIR, n, gamma, method="fast")
-            dense = spectral_trace(PAIR, n, gamma, method="dense")
-            assert fast == pytest.approx(dense, abs=1e-10)
-
-
-def test_spectral_trace_fast_rejects_noncommuting():
-    with pytest.raises(ValidationError):
-        spectral_trace(noncommuting_pair(), 2, 0.1, method="fast")
+            assert spectral_trace(PAIR, n, gamma) == pytest.approx(
+                dense_trace(PAIR, n, gamma), abs=1e-10)
 
 
 def test_lemma2_bound_holds():
@@ -203,9 +214,8 @@ def test_spectral_trace_paths_agree_on_zero_eigenvalues(p, q):
     for n in (1, 2, 3, 4):
         for gamma in (-0.5, 0.0, 0.3, 0.7):
             for weight in ("rho", "sigma"):
-                fast = spectral_trace(pair, n, gamma, weight=weight, method="fast")
-                dense = spectral_trace(pair, n, gamma, weight=weight, method="dense")
-                assert fast == pytest.approx(dense, abs=1e-12)
+                assert spectral_trace(pair, n, gamma, weight=weight) == pytest.approx(
+                    dense_trace(pair, n, gamma, weight), abs=1e-12)
 
 
 @pytest.mark.parametrize("p, q", RANK_DEFICIENT)
@@ -314,15 +324,15 @@ def test_rate_curve_dense_path_noncommuting():
 def test_rate_curve_and_spectral_trace_reject_bad_n():
     # one check for both paths: the commuting pair used to fail with
     # ZeroDivisionError or IndexError, the dense path with a bare ValueError,
-    # and the fast spectral trace returned 1.0 at n = 0
+    # and the fast spectral trace returned 1.0 at n = 0; an empty list
+    # returned no points
     for pair in (PAIR, noncommuting_pair()):
-        for n_list in ([0], [-1], [1, 0], [1.5], [2.0]):
+        for n_list in ([], [0], [-1], [1, 0], [1.5], [2.0]):
             with pytest.raises(ValidationError, match="integer >= 1"):
                 rate_curve(pair, 0.05, n_list)
-    for n in (0, -1, 1.5):
-        for method in ("fast", "dense"):
+        for n in (0, -1, 1.5):
             with pytest.raises(ValidationError, match="integer >= 1"):
-                spectral_trace(PAIR, n, 0.1, method=method)
+                spectral_trace(pair, n, 0.1)
 
 
 # ------------------- Schur-Weyl compression of qubit pairs -------------------
@@ -408,7 +418,7 @@ def test_qubit_operator_path_matches_kronecker_path(seed):
                 proj = compare_projector(rho_n.mat, scaled, ">=").mat
                 for weight, target in (("rho", rho_n.mat), ("sigma", sigma_n.mat)):
                     dense = max(float(np.trace(proj @ target).real), 0.0)
-                    got = spectral_trace(pair, pt.n, gamma, weight=weight, method="dense")
+                    got = spectral_trace(pair, pt.n, gamma, weight=weight)
                     assert got == pytest.approx(dense, abs=1e-10)
 
 
@@ -438,5 +448,5 @@ def test_qubit_path_factors_only_compressed_matrices(monkeypatch):
     for n in (3, 6, 9, 12):
         sizes.clear()
         rate_curve(pair, 0.05, [n])
-        spectral_trace(pair, n, 0.2, method="dense")
+        spectral_trace(pair, n, 0.2)
         assert sizes and max(sizes) == (n + 2) ** 2 // 4
