@@ -22,6 +22,7 @@ from .divergences import (
 from .entanglement import (
     BipartiteState,
     EmaxResult,
+    PPTBound,
     SeparableEnsemble,
     emax,
     is_ppt,

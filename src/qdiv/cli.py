@@ -192,7 +192,8 @@ def smooth(ctx, quantity, rho_path, sigma_path, eps, mode):
 @click.pass_context
 def emax_cmd(ctx, state_path, dims, cmd_seed, iters):
     """Two-sided E_max estimate with a reassemblable separable witness:
-    exact in 2x2 (gap below 1e-6), by column generation in larger systems."""
+    exact in 2x2 (gap below 2e-7), by column generation in larger systems.
+    Limited to total dimension d_A d_B <= 16."""
 
     def work():
         loaded = parse_state_file(state_path)

@@ -2,13 +2,14 @@
 
 E_max(rho) = min over separable sigma of D_max(rho||sigma) is estimated with a
 two-sided certificate: an upper bound from an explicit separable ensemble
-(reassemblable by the caller) and a convex lower bound from the PPT relaxation,
-certified by a feasible point of its dual semidefinite program.  In 2x2, where
-PPT equals separable, the ensemble is the PPT optimum itself, decomposed into
-at most four product states, and the gap is below 1e-6.  Larger systems build
-the ensemble by column generation: each round solves one semidefinite program
-for the weights of the product states held so far, and its dual prices the
-next product state.
+(reassemblable by the caller) and a convex lower bound from the PPT relaxation.
+The relaxation is one semidefinite program, solved once: its primal optimum is
+the PPT state nearest rho in D_max, and its dual multipliers, made exactly
+feasible, certify the lower bound.  In 2x2, where PPT equals separable, the
+ensemble is that PPT optimum itself, decomposed into at most four product
+states, and the gap is below 2e-7 bits.  Larger systems build the ensemble by
+column generation: each round solves one semidefinite program for the weights
+of the product states held so far, and its dual prices the next product state.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sdp import SolverError, hermitian_basis, hermitian_coordinates, solve_lmi
+from ._sdp import SolveStats, SolverError, hermitian_basis, hermitian_coordinates, solve_lmi
 from .divergences import d_max
 from .operators import (
     DensityOperator,
@@ -121,59 +122,53 @@ def is_ppt(state: BipartiteState) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PPT lower bound: the dual of one linear semidefinite program
+# PPT lower bound: one linear semidefinite program and its dual multipliers
 # ---------------------------------------------------------------------------
 
-def ppt_emax_lower(state: BipartiteState) -> float:
+@dataclass(frozen=True)
+class PPTBound:
+    """The PPT relaxation of E_max: the certified lower bound in bits, the
+    PPT state sigma* that attains it, and the solve's SolveStats (None when
+    the input is PPT and no solve runs)."""
+
+    lower_bits: float
+    optimum: np.ndarray
+    stats: SolveStats | None
+
+
+def ppt_emax_lower(state: BipartiteState) -> PPTBound:
     """Certified lower bound on E_max from relaxing the separable set to the
     PPT set; equal to E_max in 2x2 and 2x3 systems, where PPT is separable.
+    Limited to total dimension d_A d_B <= 16 (ValidationError beyond).
 
-    min over PPT states sigma of D_max(rho||sigma) is log2 of
-    min{Tr Y : Y >= rho, Y^TB >= 0}, whose dual is
-    max{Tr rho Z : Z >= 0, W >= 0, Z + W^TB = I}.  The dual is solved
-    directly, as max Tr rho Z over Z >= 0 with W = (I - Z)^TB >= 0, and its
-    solution is made exactly feasible: Z is clipped to PSD, W0 = I - Z^TB,
+    min over PPT states sigma of D_max(rho||sigma) is log2 of the primal
+    program min{Tr Y : Y - rho >= 0, Y^TB >= 0}, solved once from Y = 2 I
+    with dual point (I/2, I/2).  The optimum sigma* = Y / Tr Y is taken from
+    the last primal iterate, so both slacks are positive definite: sigma* has
+    full rank, is strictly PPT, and rho <= Tr Y sigma*.  The lower bound
+    comes from the multipliers (Z, W) of the two blocks, which meet the dual
+    constraints Z >= 0, W >= 0, Z + W^TB = I up to the solver's dual
+    residual.  They are made exactly feasible: W0 = I - Z^TB,
     c = max(0, -lambda_min(W0)), and Z' = Z / (1 + c), W' = (W0 + c I) / (1 + c)
     satisfy Z' + W'^TB = I.  log2 Tr rho Z' is then a lower bound by weak
-    duality; it is floored at zero.
+    duality; it is floored at zero.  A PPT input needs no solve: the bound
+    is 0 and sigma* is rho itself.
     """
     if state.state.dim > 16:
         raise ValidationError("PPT lower bound is limited to total dimension <= 16")
-    if is_ppt(state):
-        return 0.0
     rm, dims, d = state.state.mat, state.dims, state.state.dim
-    basis, pt_basis = _pt_basis(dims)
+    if is_ppt(state):
+        return PPTBound(0.0, rm / float(np.trace(rm).real), None)
+    basis = hermitian_basis(d)
+    pt_basis = np.array([_pt_matrix(e, dims) for e in basis])
     eye = np.eye(d)
-    # blocks Z >= 0 and I - Z^TB >= 0; the solver's multipliers of these are
-    # Y - rho and Y^TB, started from Y = 2 I (rho <= I)
-    blocks = ((np.zeros((d, d)), basis), (eye, -pt_basis))
-    x, _, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
-                        hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
-    z = Spectrum.of(np.tensordot(x, basis, 1)).apply(lambda w: np.clip(w, 0.0, None))
-    shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims))[0]))
-    return math.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
-
-
-def _pt_basis(dims: tuple) -> tuple:
-    """The Hermitian basis of the bipartite space and its partial transposes."""
-    basis = hermitian_basis(dims[0] * dims[1])
-    return basis, np.array([_pt_matrix(e, dims) for e in basis])
-
-
-def _ppt_optimum(rm: np.ndarray, dims: tuple) -> np.ndarray:
-    """The PPT state sigma* = Y / Tr Y that attains the PPT bound, from the
-    primal program min{Tr Y : Y - rho >= 0, Y^TB >= 0}, started from Y = 2 I
-    with dual point (I/2, I/2).  Y is a primal iterate of the solver, so both
-    slacks are positive definite: sigma* has full rank, is strictly PPT, and
-    rho <= Tr Y sigma*."""
-    d = rm.shape[0]
-    basis, pt_basis = _pt_basis(dims)
-    eye = np.eye(d)
-    x, _, _ = solve_lmi(hermitian_coordinates(basis, eye),
-                        ((-rm, basis), (np.zeros((d, d)), pt_basis)),
-                        hermitian_coordinates(basis, 2 * eye), (eye / 2, eye / 2))
+    x, (z, _), stats = solve_lmi(hermitian_coordinates(basis, eye),
+                                 ((-rm, basis), (np.zeros((d, d)), pt_basis)),
+                                 hermitian_coordinates(basis, 2 * eye), (eye / 2, eye / 2))
     y = np.tensordot(x, basis, 1)
-    return y / float(np.trace(y).real)
+    shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims))[0]))
+    lower = math.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
+    return PPTBound(lower, y / float(np.trace(y).real), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +299,26 @@ def _ensemble_from_terms(terms) -> SeparableEnsemble:
 def emax(state: BipartiteState, terms: int = None, restarts: int = 2,
          seed=0, iters: int = EMAX_ROUNDS) -> EmaxResult:
     """Two-sided E_max estimate: an upper bound D_max(rho||sigma_sep) against
-    an explicit separable witness, and the PPT relaxation lower bound.
+    an explicit separable witness, and the PPT relaxation lower bound, from
+    one call of ``ppt_emax_lower``; like it, limited to total dimension
+    d_A d_B <= 16 (ValidationError beyond).
 
-    In 2x2 the witness is the PPT optimum itself, decomposed into product
-    states (``_wootters_terms``), so the gap is below 1e-6.  Larger systems
-    build the witness by column generation (``_column_generation``):
+    In 2x2 the witness is the PPT optimum of that call, decomposed into
+    product states (``_wootters_terms``), so the gap is below 2e-7.  Larger
+    systems build the witness by column generation (``_column_generation``):
     ``iters`` caps its rounds, ``restarts`` is the number of random pricing
     starts drawn from ``seed`` when the deterministic ones find no column,
     and ``terms`` caps the product columns beyond the computational basis
     (default (d_A d_B)^2).  The four have no effect in 2x2."""
     rm = state.state.mat
     if state.dims == (2, 2):
-        lower = ppt_emax_lower(state)
-        optimum = _ppt_optimum(rm, state.dims)
-        best_terms = _wootters_terms((1.0 - WITNESS_MIX) * optimum + WITNESS_MIX * np.eye(4) / 4)
+        ppt = ppt_emax_lower(state)
+        lower = ppt.lower_bits
+        best_terms = _wootters_terms((1.0 - WITNESS_MIX) * ppt.optimum
+                                     + WITNESS_MIX * np.eye(4) / 4)
     else:
         try:
-            lower = ppt_emax_lower(state)
+            lower = ppt_emax_lower(state).lower_bits
         except SolverError:   # E_max >= 0 holds without a certificate
             lower = 0.0
         best_terms = _column_generation(state, lower, terms, restarts, seed, iters)

@@ -394,11 +394,9 @@ def chk_emax_local_unitary_invariance(rng, dim):
     rotated = ent.BipartiteState(
         dims=(2, 2),
         state=op.DensityOperator.from_matrix(u @ state.state.mat @ u.conj().T))
-    up1 = ent.emax(state).upper_bits
-    up2 = ent.emax(rotated).upper_bits
-    low1 = ent.ppt_emax_lower(state)
-    low2 = ent.ppt_emax_lower(rotated)
-    return max(abs(up2 - up1), abs(low1 - low2)) - 1e-6
+    res1, res2 = ent.emax(state), ent.emax(rotated)
+    return max(abs(res2.upper_bits - res1.upper_bits),
+               abs(res1.lower_bits - res2.lower_bits)) - 1e-6
 
 
 def chk_emax_local_channel_nonincrease(rng, dim):

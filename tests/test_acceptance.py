@@ -96,7 +96,7 @@ def test_acceptance_4_emax(capsys):
     for _ in range(50):
         state = BipartiteState(dims=(2, 2), state=random_density(4, 4, rng))
         r = emax(state, restarts=1, iters=150)
-        if ppt_emax_lower(state) > r.upper_bits:
+        if ppt_emax_lower(state).lower_bits > r.upper_bits:
             ok = False
             detail += ", lower exceeded upper"
             break

@@ -197,6 +197,19 @@ def test_bad_input_is_validation_error(runner, files, args, monkeypatch):
     assert "validation error:" in res.stderr
 
 
+def test_emax_beyond_dimension_16_is_validation_error(runner, tmp_path):
+    # the PPT bound, and so emax, is limited to d_A d_B <= 16; 3 x 6 is 18
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+    m = g @ g.conj().T
+    write_state_file(tmp_path / "big.json", m / np.trace(m).real, dims=(3, 6))
+    res = runner.invoke(main, ["emax", "--state", str(tmp_path / "big.json")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "validation error: PPT lower bound is limited to total dimension <= 16" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_gen_deterministic_and_parseable(runner, tmp_path):
     args = ["--seed", "7", "gen", "--kind", "state", "--dim", "3"]
     out1 = invoke(runner, args).output

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from qdiv import entanglement
-from qdiv._sdp import SolverError
+from qdiv._sdp import (
+    FEAS_RTOL,
+    GAP_RTOL,
+    SolverError,
+    hermitian_basis,
+    hermitian_coordinates,
+    solve_lmi,
+)
 from qdiv.entanglement import (
     WITNESS_MIX,
     BipartiteState,
     SeparableEnsemble,
     _ensemble_from_terms,
     _mixture_matrix,
-    _ppt_optimum,
+    _pt_matrix,
     _wootters_terms,
     _wootters_vectors,
     emax,
@@ -22,6 +29,7 @@ from qdiv.entanglement import (
 from qdiv.divergences import d_max
 from qdiv.operators import (
     DensityOperator,
+    Spectrum,
     ValidationError,
     partial_trace_matrix,
     random_density,
@@ -78,15 +86,15 @@ def test_separable_ensemble_validation():
 
 
 def test_ppt_lower_separable_near_zero():
-    assert ppt_emax_lower(product_state()) <= 1e-3
+    assert ppt_emax_lower(product_state()).lower_bits <= 1e-3
 
 
 def test_ppt_lower_bell_near_one():
-    assert ppt_emax_lower(bell_state()) >= 0.99
+    assert ppt_emax_lower(bell_state()).lower_bits >= 0.99
 
 
 def test_ppt_lower_monotone_in_visibility():
-    values = [ppt_emax_lower(isotropic(v)) for v in (0.9, 0.7, 0.5, 1 / 3)]
+    values = [ppt_emax_lower(isotropic(v)).lower_bits for v in (0.9, 0.7, 0.5, 1 / 3)]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-3
     assert values[-1] <= 1e-3
@@ -108,7 +116,7 @@ def test_ppt_lower_pure_state_oracle():
         cases.append((BipartiteState(dims=(2, 2), state=state),
                       2 * np.log2(np.sqrt(lam).sum())))
     for state, exact in cases:
-        lower = ppt_emax_lower(state)
+        lower = ppt_emax_lower(state).lower_bits
         assert lower == pytest.approx(exact, abs=1e-6)
         assert lower <= exact
 
@@ -116,9 +124,55 @@ def test_ppt_lower_pure_state_oracle():
 def test_ppt_lower_isotropic_oracle():
     # log2((1 + 3 v) / 2) for two-qubit isotropic states with v > 1/3
     for v, exact in ((0.9, 0.8875252707), (0.7, 0.6322682155), (0.5, 0.3219280949)):
-        lower = ppt_emax_lower(isotropic(v))
+        lower = ppt_emax_lower(isotropic(v)).lower_bits
         assert lower == pytest.approx(exact, abs=1e-6)
         assert lower <= np.log2((1 + 3 * v) / 2)
+
+
+def dual_form_lower(state):
+    """The PPT bound from the dual program solved directly, an independent
+    formulation: max Tr rho Z over Z >= 0 with W = (I - Z)^TB >= 0, Z
+    clipped to PSD and then made exactly feasible by the shift
+    c = max(0, -lambda_min(I - Z^TB))."""
+    if is_ppt(state):
+        return 0.0
+    rm, dims, d = state.state.mat, state.dims, state.state.dim
+    basis = hermitian_basis(d)
+    pt_basis = np.array([_pt_matrix(e, dims) for e in basis])
+    eye = np.eye(d)
+    blocks = ((np.zeros((d, d)), basis), (eye, -pt_basis))
+    x, _, _ = solve_lmi(-hermitian_coordinates(basis, rm), blocks,
+                        hermitian_coordinates(basis, eye / 2), (2 * eye - rm, 2 * eye))
+    z = Spectrum.of(np.tensordot(x, basis, 1)).apply(lambda w: np.clip(w, 0.0, None))
+    shift = max(0.0, -float(np.linalg.eigvalsh(eye - _pt_matrix(z, dims))[0]))
+    return np.log2(max(float(np.trace(rm @ z).real) / (1.0 + shift), 1.0))
+
+
+def test_ppt_lower_matches_dual_form_oracle():
+    # the primal solve's multipliers carry its dual residual (FEAS_RTOL), so
+    # the certified bound may sit that far below the dual program's optimum;
+    # the Bell state and the 50 random states of acceptance-4
+    rng = np.random.default_rng(4)
+    states = [bell_state()] + [BipartiteState(dims=(2, 2), state=random_density(4, 4, rng))
+                               for _ in range(50)]
+    for state in states:
+        lower = ppt_emax_lower(state).lower_bits
+        assert lower <= emax(state).upper_bits
+        assert lower == pytest.approx(dual_form_lower(state), abs=2e-7)
+
+
+def test_ppt_bound_reports_its_solve():
+    bound = ppt_emax_lower(isotropic(0.7))
+    assert bound.stats.iterations > 0 and bound.stats.lapack_calls > 0
+    assert bound.stats.gap <= GAP_RTOL and bound.stats.dual_residual <= FEAS_RTOL
+    assert np.trace(bound.optimum).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(bound.optimum)[0] > 0
+    assert np.linalg.eigvalsh(_pt_matrix(bound.optimum, (2, 2)))[0] > 0
+    # a PPT input is its own optimum and needs no solve
+    state = product_state()
+    bound = ppt_emax_lower(state)
+    assert bound.lower_bits == 0.0 and bound.stats is None
+    assert np.abs(bound.optimum - state.state.mat).max() <= 1e-15
 
 
 def random_separable_state(seed):
@@ -157,7 +211,7 @@ def test_wootters_decomposition_is_product_and_reassembles():
     rng = np.random.default_rng(9)
     states += [BipartiteState(dims=(2, 2), state=random_density(4, 4, rng)) for _ in range(5)]
     for state in states:
-        sigma = ((1 - WITNESS_MIX) * _ppt_optimum(state.state.mat, (2, 2))
+        sigma = ((1 - WITNESS_MIX) * ppt_emax_lower(state).optimum
                  + WITNESS_MIX * np.eye(4) / 4)
         vectors = _wootters_vectors(sigma)
         for z in vectors.T:
@@ -194,7 +248,7 @@ def test_emax_deterministic():
 
 
 def test_emax_eig_calls(monkeypatch):
-    # two interior-point solves and one Wootters decomposition in place of a
+    # one interior-point solve and one Wootters decomposition in place of a
     # bisection over conditional-gradient searches, which took 81,402
     # eigh/eigvalsh calls on this state; allow under 1 % of that
     calls = []
@@ -205,6 +259,21 @@ def test_emax_eig_calls(monkeypatch):
     state = BipartiteState(dims=(2, 2), state=random_density(4, 4, np.random.default_rng(0)))
     emax(state)
     assert len(calls) <= 600
+
+
+def test_emax_2x2_solves_once_per_entangled_state(monkeypatch):
+    # the PPT solve's primal optimum is the witness and its multipliers the
+    # lower bound; a PPT state is its own optimum and needs no solve
+    calls = []
+    solve = entanglement.solve_lmi
+    monkeypatch.setattr(entanglement, "solve_lmi", lambda *a: calls.append(1) or solve(*a))
+    full_rank = BipartiteState(dims=(2, 2), state=random_density(4, 4, np.random.default_rng(3)))
+    assert not is_ppt(full_rank)
+    for state, solves in ((bell_state(), 1), (isotropic(0.7), 1), (full_rank, 1),
+                          (product_state(), 0), (random_separable_state(3), 0)):
+        calls.clear()
+        emax(state)
+        assert len(calls) == solves
 
 
 def probe_state(dims, s):
@@ -225,7 +294,7 @@ def test_emax_2x3_gap_and_witness(emax_2x3, s):
     # the bisection over conditional-gradient searches left 0.077-0.384 bits
     # on the mixed states; a pure state's Schmidt columns are optimal
     assert res.gap <= (1e-10 if s == 4 else 2e-2)
-    assert res.lower_bits == pytest.approx(ppt_emax_lower(state), abs=1e-15)
+    assert res.lower_bits == pytest.approx(ppt_emax_lower(state).lower_bits, abs=1e-15)
     total = 0.0
     sigma = np.zeros((6, 6), dtype=complex)
     for w, a, b in res.witness.terms:
