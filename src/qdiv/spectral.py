@@ -9,7 +9,6 @@ path for commuting pairs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -66,8 +65,14 @@ def tensor_power(rho: DensityOperator, n: int) -> DensityOperator:
     return DensityOperator.from_matrix(out)
 
 
+def _is_count(n, least: int) -> bool:
+    """Whether n is an integer >= least; a bool is a numbers.Integral, but no
+    count."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
+
+
 def _check_copy_counts(n_list: list):
-    if not n_list or not all(isinstance(n, numbers.Integral) and n >= 1 for n in n_list):
+    if not n_list or not all(_is_count(n, 1) for n in n_list):
         raise ValidationError(f"need one or more n, each an integer >= 1, got {n_list}")
 
 
@@ -161,12 +166,23 @@ def joint_eigen_probabilities(pair: IIDPair) -> tuple:
 
 def _compositions(n: int, d: int) -> np.ndarray:
     """All ways to split n into d nonnegative parts, one per row, in
-    lexicographic order.  By stars and bars, the parts are the gaps between
-    d - 1 bars placed in increasing order among n + d - 1 slots."""
-    count = math.comb(n + d - 1, d - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + d - 1), d - 1)),
-                       dtype=np.int64, count=count * (d - 1)).reshape(count, d - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=n + d - 1) - 1
+    lexicographic order.
+
+    The rows grow one part at a time.  A prefix with r left to split gets the
+    children 0, 1, ..., r as its next part, all prefixes' children from one
+    ragged ``arange`` (the running index minus the start of its run, the runs
+    of lengths r + 1 laid end to end); the earlier parts are repeated along,
+    and the last part is what is left.  The loop runs over the d parts only.
+    """
+    parts, rest = [], np.array([n])
+    for _ in range(d - 1):
+        runs = rest + 1
+        ends = np.cumsum(runs)
+        child = np.arange(ends[-1]) - np.repeat(ends - runs, runs)
+        parts = [np.repeat(part, runs) for part in parts] + [child]
+        rest = np.repeat(rest, runs) - child
+    # columns contiguous, for type_table's per-letter passes
+    return np.array(parts + [rest]).T
 
 
 @dataclass(frozen=True)
@@ -179,6 +195,21 @@ class TypeTable:
 
 
 def type_table(p: np.ndarray, q: np.ndarray, n: int) -> TypeTable:
+    """Log masses and quantized log-likelihood ratios of the type classes of
+    n letters drawn from weights p and q (1-D, of equal length d), one entry
+    per row of ``_compositions(n, d)``.
+
+    The per-type sums of log k!, k log p and k log q run one letter at a time
+    into length-K vectors, left to right from 0: for d <= 7 that is bit for
+    bit numpy's ``sum(axis=1)`` over the (K, d) terms, whose pairwise order
+    differs in the last bits from d = 8.  n = 0 gives the one empty type.
+    """
+    p, q = np.asarray(p), np.asarray(q)
+    if not _is_count(n, 0):
+        raise ValidationError(f"type_table needs n an integer >= 0, got {n!r}")
+    if p.ndim != 1 or p.shape != q.shape or not p.size:
+        raise ValidationError(f"type_table needs p and q 1-D of one nonzero length, "
+                              f"got shapes {p.shape} and {q.shape}")
     d = len(p)
     count = math.comb(n + d - 1, d - 1)
     if count > TYPE_COUNT_GUARD:
@@ -187,17 +218,20 @@ def type_table(p: np.ndarray, q: np.ndarray, n: int) -> TypeTable:
     # log k! of the integer parts, summed in extended precision: within 2 ulps
     # at n = 3000, where a float64 running sum drifts by 10
     log_fact = np.cumsum(np.log(np.arange(n + 1, dtype=np.longdouble).clip(1))).astype(float)
-    logmult = log_fact[n] - log_fact[ks].sum(axis=1)
+    fact_sum, seq_lp, seq_lq = np.zeros((3, count))
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp, lq = np.log(p), np.log(q)
-        # a letter that does not occur contributes p^0 = 1, also when p = 0
-        seq_lp = np.where(ks > 0, ks * lp, 0.0).sum(axis=1)
-        seq_lq = np.where(ks > 0, ks * lq, 0.0).sum(axis=1)
+        for k, lp, lq in zip(ks.T, np.log(p), np.log(q)):
+            fact_sum += log_fact[k]
+            # a letter that does not occur contributes p^0 = 1, also when p = 0
+            occurs = k > 0
+            seq_lp += np.where(occurs, k * lp, 0.0)
+            seq_lq += np.where(occurs, k * lq, 0.0)
         ratio = (seq_lp - seq_lq) / math.log(2.0)
+    logmult = log_fact[n] - fact_sum
     # 0/0 sequences carry no mass on either side; treat as included ties (+inf)
     ratio = np.where(np.isneginf(seq_lp) & np.isneginf(seq_lq), np.inf, ratio)
-    finite = np.isfinite(ratio)
-    ratio[finite] = np.round(ratio[finite] / RATIO_QUANTUM) * RATIO_QUANTUM
+    # rounding keeps +/-inf as they are
+    ratio = np.round(ratio / RATIO_QUANTUM) * RATIO_QUANTUM
     return TypeTable(log_p=logmult + seq_lp, log_q=logmult + seq_lq, ratio_bits=ratio)
 
 

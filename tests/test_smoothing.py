@@ -9,6 +9,7 @@ from qdiv.divergences import d_max, d_min
 from qdiv.operators import (
     DensityOperator,
     ValidationError,
+    _spectral_projectors,
     compare_projector,
     hermitian_part,
     random_density,
@@ -16,6 +17,7 @@ from qdiv.operators import (
 )
 from qdiv.smoothing import (
     SWEEP_CHUNK_ENTRIES,
+    SWEEP_GRID_POINTS,
     EpsilonBall,
     lemma5_smooth,
     smooth_dmax_exact,
@@ -164,16 +166,23 @@ def test_smooth_dmin_lower_dominates_unsmoothed():
                 >= d_min(rho.mat, sigma.mat).bits - 1e-12)
 
 
+def _sweep_gammas(rm, sm, grid_points=SWEEP_GRID_POINTS):
+    """The gamma grid of ``smooth_dmin_lower``: from 2 bits below D_min to 2
+    above D_max, or 62 above D_min when D_max = inf."""
+    base = d_min(rm, sm)
+    dmax_bits = d_max(rm, sm).bits
+    hi = dmax_bits + 2.0 if math.isfinite(dmax_bits) else (base.bits if base.finite else 0.0) + 62.0
+    lo = (base.bits if base.finite else 0.0) - 2.0
+    return np.linspace(lo, hi, grid_points)
+
+
 def _smooth_dmin_lower_per_point(rho, sigma, eps, grid_points=512):
     """Reference: the projector sweep of ``smooth_dmin_lower``, one
     ``compare_projector`` and one ``d_min`` per grid point."""
     rm, sm = rho.mat, sigma.mat
     base = d_min(rm, sm)
     best = base.bits if base.finite else -math.inf
-    dmax_bits = d_max(rm, sm).bits
-    hi = dmax_bits + 2.0 if math.isfinite(dmax_bits) else (base.bits if base.finite else 0.0) + 62.0
-    lo = (base.bits if base.finite else 0.0) - 2.0
-    for gamma in np.linspace(lo, hi, grid_points):
+    for gamma in _sweep_gammas(rm, sm, grid_points):
         p = compare_projector(rm, (2.0**gamma) * sm, ">=").mat
         kept = float(np.trace(p @ rm).real)
         delta = max(1.0 - kept, 0.0)
@@ -199,6 +208,69 @@ def test_smooth_dmin_lower_matches_per_point_sweep():
         stacked = smooth_dmin_lower(rho, sigma, eps)
         reference = _smooth_dmin_lower_per_point(rho, sigma, eps)
         assert stacked == reference or abs(stacked - reference) <= 1e-12
+
+
+def _masses(rm, sm, scales, relation):
+    """Tr[{rho rel t sigma} rho] for each t in scales, from the batched
+    projectors the smoothers use."""
+    proj, _ = _spectral_projectors(rm - scales[:, None, None] * sm, relation)
+    return np.einsum("kij,ji->k", proj, rm).real
+
+
+def _threshold_pairs():
+    """40 seeded pairs, d = 2..8, each with the gamma grid of
+    ``smooth_dmin_lower``.  Every third rho is rank-deficient and every fourth
+    sigma singular; every eighth rho lies inside the singular sigma's support,
+    the other singular ones leave it (D_max = inf)."""
+    rng = np.random.default_rng(63)
+    for trial in range(40):
+        dim = 2 + trial % 7
+        rho = random_density(dim, max(1, dim - 1 - trial % 2) if trial % 3 == 0 else dim, rng)
+        sigma = random_density(dim, max(1, dim // 2) if trial % 4 == 0 else dim, rng)
+        if trial % 8 == 0:
+            w, v = np.linalg.eigh(sigma.mat)
+            support = v[:, w > 1e-12]
+            inner = random_density(support.shape[1], support.shape[1], rng).mat
+            rho = DensityOperator.from_matrix(hermitian_part(support @ inner @ support.conj().T))
+        rm, sm = rho.mat, sigma.mat
+        yield trial, rm, sm, d_max(rm, sm).bits, _sweep_gammas(rm, sm)
+
+
+# Beyond supp(sigma) the grid runs 62 bits above D_min, and from t near 2^47
+# the rounding of t sigma (about t 2^-52) outweighs rho: there the kept mass
+# is noise, rising by up to 0.43 between grid points.
+UNBOUNDED_GRID_TRUSTED_BITS = 40.0
+
+
+def test_projector_masses_nonincreasing_in_threshold():
+    # Tr[{rho >= t sigma} rho] = f(t) - t f'(t) with f(t) = Tr(rho - t sigma)_+
+    # convex, so it falls as t grows; the same holds for the strict projector.
+    # A prefix search over smooth_dmin_lower's grid, and a top-first bisection
+    # of smooth_dmax_upper's bracket, are exact only under this property.
+    finite_dmax = 0
+    for trial, rm, sm, dmax_bits, gammas in _threshold_pairs():
+        if not math.isfinite(dmax_bits):
+            gammas = gammas[gammas <= UNBOUNDED_GRID_TRUSTED_BITS]
+        kept = _masses(rm, sm, 2.0**gammas, ">=")
+        assert (np.diff(kept) <= 1e-12).all(), trial
+        if math.isfinite(dmax_bits):
+            finite_dmax += 1
+            # smooth_dmax_upper's bracket, and its top 4 bits more finely
+            lam = np.union1d(np.linspace(dmax_bits - 60.0, dmax_bits, 256),
+                             np.linspace(dmax_bits - 4.0, dmax_bits, 256))
+            excess = _masses(rm, sm, 2.0**lam, ">")
+            assert (np.diff(excess) <= 1e-12).all(), trial
+            assert excess[-1] <= 1e-12
+    assert finite_dmax == 35
+
+
+@pytest.mark.xfail(strict=True, reason="the kept mass is rounding noise at the top of "
+                                       "smooth_dmin_lower's grid when D_max = inf")
+def test_kept_mass_nonincreasing_on_whole_unbounded_grid():
+    for trial, rm, sm, dmax_bits, gammas in _threshold_pairs():
+        if not math.isfinite(dmax_bits):
+            kept = _masses(rm, sm, 2.0**gammas, ">=")
+            assert (np.diff(kept) <= 1e-12).all(), trial
 
 
 def _tensor_power_pair(n):

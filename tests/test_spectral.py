@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from qdiv.smoothing import (
     smooth_dmin_lower,
 )
 from qdiv.spectral import (
+    RATIO_QUANTUM,
     IIDPair,
     _compositions,
     _n_copy_pair,
@@ -65,8 +67,8 @@ def test_tensor_power_guard():
 
 
 def test_tensor_power_rejects_bad_n():
-    # n = 0 raised a bare ValueError and n = 1.5 a TypeError
-    for n in (0, -1, 1.5):
+    # n = 0 raised a bare ValueError and n = 1.5 a TypeError; True passed as 1
+    for n in (0, -1, 1.5, True):
         with pytest.raises(ValidationError, match="integer >= 1"):
             tensor_power(RHO, n)
 
@@ -88,11 +90,82 @@ def _compositions_recursive(n, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_compositions_match_recursive_oracle(d):
-    for n in range(13):
+    for n in range(31 if d <= 3 else 13):
         expected = np.array(list(_compositions_recursive(n, d)))
         got = _compositions(n, d)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+def _type_table_reference(p, q, n):
+    """The type table from a stars-and-bars enumeration (the parts are the gaps
+    between d - 1 bars placed in increasing order among n + d - 1 slots) and
+    row sums over (K, d) arrays of per-letter terms."""
+    d = len(p)
+    bars = np.array(list(itertools.combinations(range(n + d - 1), d - 1)),
+                    dtype=np.int64).reshape(math.comb(n + d - 1, d - 1), d - 1)
+    ks = np.diff(bars, axis=1, prepend=-1, append=n + d - 1) - 1
+    log_fact = np.cumsum(np.log(np.arange(n + 1, dtype=np.longdouble).clip(1))).astype(float)
+    logmult = log_fact[n] - log_fact[ks].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp, lq = np.log(p), np.log(q)
+        seq_lp = np.where(ks > 0, ks * lp, 0.0).sum(axis=1)
+        seq_lq = np.where(ks > 0, ks * lq, 0.0).sum(axis=1)
+        ratio = (seq_lp - seq_lq) / math.log(2.0)
+    ratio = np.where(np.isneginf(seq_lp) & np.isneginf(seq_lq), np.inf, ratio)
+    finite = np.isfinite(ratio)
+    ratio[finite] = np.round(ratio[finite] / RATIO_QUANTUM) * RATIO_QUANTUM
+    return logmult + seq_lp, logmult + seq_lq, ratio
+
+
+def _weight_cases(d, rng):
+    """Seeded (p, q) of length d: positive, then with a zero weight in p, in q
+    and in both at one letter."""
+    p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+    yield p, q
+    zero = np.arange(d) == rng.integers(d)
+    for in_p, in_q in ((True, False), (False, True), (True, True)):
+        yield np.where(in_p & zero, 0.0, p), np.where(in_q & zero, 0.0, q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+def test_type_table_bitwise_equals_row_sum_reference(d):
+    # summed one letter at a time from 0, as numpy sums fewer than 8 terms
+    rng = np.random.default_rng([d, 21])
+    for n in range(41 if d <= 4 else 13):
+        for p, q in _weight_cases(d, rng):
+            table = type_table(p, q, n)
+            for got, want in zip((table.log_p, table.log_q, table.ratio_bits),
+                                 _type_table_reference(p, q, n)):
+                assert got.tobytes() == want.tobytes(), (n, p, q)
+
+
+@pytest.mark.parametrize("d", [8, 9, 10])
+def test_type_table_near_row_sum_reference_from_d8(d):
+    # numpy's pairwise summation of 8 or more terms takes another order
+    rng = np.random.default_rng([d, 21])
+    for n in range(7):
+        for p, q in _weight_cases(d, rng):
+            table = type_table(p, q, n)
+            log_p, log_q, ratio = _type_table_reference(p, q, n)
+            for got, want in ((table.log_p, log_p), (table.log_q, log_q)):
+                assert np.array_equal(np.isneginf(got), np.isneginf(want))
+                assert np.allclose(got, want, rtol=0, atol=1e-13)
+            with np.errstate(invalid="ignore"):  # inf - inf on zero-mass types
+                apart = np.abs(table.ratio_bits - ratio)
+            # the ratios are multiples of RATIO_QUANTUM: equal, or one apart
+            assert ((table.ratio_bits == ratio) | (apart <= 1.5 * RATIO_QUANTUM)).all()
+
+
+def test_type_table_rejects_bad_input():
+    p = np.array([0.75, 0.25])
+    for n in (-1, 2.5, True, None):
+        with pytest.raises(ValidationError, match="integer >= 0"):
+            type_table(p, p, n)
+    for p_bad, q_bad in ((p, np.array([0.5, 0.3, 0.2])), (p[None, :], p[None, :]),
+                         (np.array(0.5), np.array(0.5)), (np.array([]), np.array([]))):
+        with pytest.raises(ValidationError, match="1-D"):
+            type_table(p_bad, q_bad, 3)
 
 
 def test_type_table_log_multinomials_match_factorials():
@@ -327,10 +400,10 @@ def test_rate_curve_and_spectral_trace_reject_bad_n():
     # and the fast spectral trace returned 1.0 at n = 0; an empty list
     # returned no points
     for pair in (PAIR, noncommuting_pair()):
-        for n_list in ([], [0], [-1], [1, 0], [1.5], [2.0]):
+        for n_list in ([], [0], [-1], [1, 0], [1.5], [2.0], [True]):
             with pytest.raises(ValidationError, match="integer >= 1"):
                 rate_curve(pair, 0.05, n_list)
-        for n in (0, -1, 1.5):
+        for n in (0, -1, 1.5, True):
             with pytest.raises(ValidationError, match="integer >= 1"):
                 spectral_trace(pair, n, 0.1)
 
