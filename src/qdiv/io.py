@@ -38,7 +38,12 @@ def payload_to_matrix(payload: dict) -> np.ndarray:
         for j, cell in enumerate(row):
             if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
                 raise ValidationError(f"entry ({i},{j}) is not a [re, im] pair")
-            mat[i, j] = complex(float(cell[0]), float(cell[1]))
+            try:
+                mat[i, j] = complex(float(cell[0]), float(cell[1]))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"entry ({i},{j}) is not a pair of numbers") from exc
+            if not np.isfinite(mat[i, j]):
+                raise ValidationError(f"entry ({i},{j}) is not finite")
     return mat
 
 

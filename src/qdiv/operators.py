@@ -24,12 +24,15 @@ class ValidationError(ValueError):
 
 
 def _as_matrix(x) -> np.ndarray:
-    """Coerce an operator wrapper or a raw ndarray to a complex matrix."""
+    """Coerce an operator wrapper or a raw array to a matrix: float64 when the
+    entries are bool, int or float, complex128 otherwise.  Real operators stay
+    real, so their eigendecompositions and products run in real arithmetic."""
     if isinstance(x, HermitianOperator):
         return x.mat
     if isinstance(x, (DensityOperator, Projector)):
         return x.op.mat
-    return np.asarray(x, dtype=complex)
+    x = np.asarray(x)
+    return x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
 
 
 def _matched_matrices(a, b) -> tuple:
@@ -47,14 +50,23 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense self-adjoint matrix."""
+    """A dense self-adjoint matrix of finite numbers: float64 for bool, int
+    and float input, complex128 for any other numeric input."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        try:
+            mat = np.asarray(self.mat)
+        except ValueError as exc:  # ragged nesting
+            raise ValidationError(f"entries do not form a matrix: {exc}") from exc
+        if mat.dtype.kind not in "biufc":
+            raise ValidationError(f"entries must be numbers, got dtype {mat.dtype}")
+        mat = _as_matrix(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValidationError("matrix has non-finite entries")
         dev = np.abs(mat - mat.conj().T).max()
         if dev > HERMITICITY_TOL * max(np.abs(mat).max(), 1.0):
             raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -94,7 +106,7 @@ class DensityOperator:
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "DensityOperator":
-        return cls(HermitianOperator(np.asarray(mat, dtype=complex)))
+        return cls(HermitianOperator(mat))
 
     @property
     def mat(self) -> np.ndarray:

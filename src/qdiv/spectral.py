@@ -110,7 +110,8 @@ def symmetric_compression(rho: DensityOperator, n: int) -> DensityOperator:
     built on the compressed pair lifts to one on the n-copy pair by appending
     I / m_j.  The dimension is floor((n + 2)^2 / 4) in place of 2^n, and the
     dense size guard applies to it; n = 1 returns rho.  A rank-1 rho has
-    det = 0, so every block but j = n/2 vanishes.
+    det = 0, so every block but j = n/2 vanishes.  The blocks are built in
+    rho's dtype, so a real rho gives a real compression.
     """
     if rho.dim != 2:
         raise ValidationError(f"symmetric_compression needs a qubit state, got dimension {rho.dim}")
@@ -120,11 +121,11 @@ def symmetric_compression(rho: DensityOperator, n: int) -> DensityOperator:
     a = rho.mat
     # rounding can leave a rank-1 state's determinant slightly negative
     det = max(float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real), 0.0)
-    powers = ([np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)])
+    powers = ([np.ones(1, dtype=a.dtype)], [np.ones(1, dtype=a.dtype)])
     for _ in range(n):
         for c in (0, 1):
             powers[c].append(np.convolve(powers[c][-1], a[:, c]))
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=a.dtype)
     start = 0
     for k in range(n, -1, -2):  # k = 2j
         depth = (n - k) // 2     # n/2 - j
@@ -134,11 +135,29 @@ def symmetric_compression(rho: DensityOperator, n: int) -> DensityOperator:
     return DensityOperator.from_matrix(out)
 
 
+def _real_frame(pair: IIDPair) -> tuple:
+    """(rho', sigma') of a qubit pair, turned by one unitary into real form:
+    sigma' = diag(w) in sigma's eigenbasis, and rho' real symmetric.
+
+    In that basis a diagonal unitary takes rho's off-diagonal entry r to |r|
+    and leaves diag(w) as it is.  The same unitary U turns both states, and
+    U^(x)n commutes with the Schur-Weyl compression, so every unitarily
+    invariant quantity of the n-copy pair keeps its value.
+    """
+    w, v = np.linalg.eigh(pair.sigma.mat)
+    r = v.conj().T @ pair.rho.mat @ v
+    off = abs(r[0, 1])
+    rho = np.array([[r[0, 0].real, off], [off, r[1, 1].real]])
+    return DensityOperator.from_matrix(rho), DensityOperator.from_matrix(np.diag(w))
+
+
 def _n_copy_pair(pair: IIDPair, n: int) -> tuple:
-    """An operator pair equivalent to (rho^(x)n, sigma^(x)n): the Schur-Weyl
-    compressions for qubits, the tensor powers otherwise."""
-    power = symmetric_compression if pair.rho.dim == 2 else tensor_power
-    return power(pair.rho, n), power(pair.sigma, n)
+    """An operator pair equivalent to (rho^(x)n, sigma^(x)n): for qubits the
+    Schur-Weyl compressions of the pair in its real frame (``_real_frame``),
+    real symmetric with sigma~ diagonal; the tensor powers otherwise."""
+    if pair.rho.dim != 2:
+        return tensor_power(pair.rho, n), tensor_power(pair.sigma, n)
+    return tuple(symmetric_compression(x, n) for x in _real_frame(pair))
 
 
 def joint_eigen_probabilities(pair: IIDPair) -> tuple:
@@ -155,9 +174,7 @@ def joint_eigen_probabilities(pair: IIDPair) -> tuple:
             j += 1
         block = v[:, i:j]
         sub = block.conj().T @ pair.sigma.mat @ block
-        sw, sv = np.linalg.eigh(hermitian_part(sub))
-        v[:, i:j] = block @ sv
-        q[i:j] = sw
+        q[i:j] = np.linalg.eigh(hermitian_part(sub))[0]
         i = j
     p = np.clip(w, 0.0, None)
     q = np.clip(q, 0.0, None)
@@ -246,12 +263,15 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
     """Tr[{rho^(n) >= 2^{n gamma} sigma^(n)} X^(n)] with X = rho or sigma.
 
     Commuting pairs take the type-class path, all others the dense one.  The
-    dense path works on the Schur-Weyl compressed pair for qubits
-    (``symmetric_compression``), whose projector carries the n-copy masses,
-    and on the tensor powers otherwise.  n must be an integer >= 1.
+    dense path works for qubits on the Schur-Weyl compressed pair in its real
+    frame (``_n_copy_pair``), whose projector carries the n-copy masses, and
+    on the tensor powers otherwise.  n must be an integer >= 1 and gamma_bits
+    a finite number.
     """
     if weight not in ("rho", "sigma"):
         raise ValueError("weight must be 'rho' or 'sigma'")
+    if not (isinstance(gamma_bits, numbers.Real) and math.isfinite(gamma_bits)):
+        raise ValidationError(f"gamma_bits must be a finite number, got {gamma_bits!r}")
     _check_copy_counts([n])
     threshold = n * gamma_bits
     if pair.commuting:
@@ -305,11 +325,11 @@ def rate_curve(pair: IIDPair, eps: float, n_list) -> list:
     Commuting pairs work on type classes: D_max is the exact classical smooth
     value, and D_min is the projector-sweep lower bound under the
     gentle-measurement budget 2 sqrt(delta) <= eps for the deleted rho-mass
-    delta.  General pairs use the dense solvers under the size guard, on the
-    Schur-Weyl compressed pair for qubits (``symmetric_compression``): the
-    smoothers read only data-processing divergences and projector masses,
-    which it shares with the n-copy pair, and their certificates lift to the
-    n-copy pair.  Every n must be an integer >= 1.
+    delta.  General pairs use the dense solvers under the size guard, for
+    qubits on the Schur-Weyl compressed pair in its real frame
+    (``_n_copy_pair``): the smoothers read only data-processing divergences
+    and projector masses, which it shares with the n-copy pair, and their
+    certificates lift to the n-copy pair.  Every n must be an integer >= 1.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0, 1)")

@@ -427,7 +427,9 @@ def chk_spectral_path_agreement(rng, dim):
     pair = _commuting_pair(rng, 2)
     worst = -math.inf
     for n in (2, 3):
-        rho_n, sigma_n = (x.mat for x in sp._n_copy_pair(pair, n))
+        # the compressed pair as given: in its real frame, sigma's eigenbasis,
+        # a commuting pair would be diagonal, and the oracle no longer dense
+        rho_n, sigma_n = (sp.symmetric_compression(x, n).mat for x in (pair.rho, pair.sigma))
         for gamma in (-0.5, 0.2, 1.0):
             # the dense path of a non-commuting pair, as an oracle
             proj = op.compare_projector(rho_n, 2.0 ** (n * gamma) * sigma_n).mat

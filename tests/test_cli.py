@@ -197,6 +197,18 @@ def test_bad_input_is_validation_error(runner, files, args, monkeypatch):
     assert "validation error:" in res.stderr
 
 
+def test_compute_on_nan_state_file_is_validation_error(runner, files):
+    # such a file used to print "inf" for every divergence and exit 0
+    nan = [float("nan"), 0.0]
+    (files / "nan.json").write_text(json.dumps(
+        {"dim": 2, "entries": [[[0.5, 0.0], nan], [nan, [0.5, 0.0]]]}))
+    res = runner.invoke(main, ["compute", "--quantity", "dmax", "--rho", str(files / "nan.json"),
+                               "--sigma", str(files / "sigma.json")])
+    assert res.exit_code == 1
+    assert "validation error: entry (0,1) is not finite" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_emax_beyond_dimension_16_is_validation_error(runner, tmp_path):
     # the PPT bound, and so emax, is limited to d_A d_B <= 16; 3 x 6 is 18
     rng = np.random.default_rng(0)

@@ -66,6 +66,31 @@ def test_bad_cell_rejected():
         payload_to_matrix(payload)
 
 
+@pytest.mark.parametrize("cell", [["a", 0.0], [None, 0.0], [0.5, {}]])
+def test_non_numeric_cell_rejected(cell):
+    payload = {"dim": 1, "entries": [[cell]]}
+    with pytest.raises(ValidationError, match=r"entry \(0,0\) is not a pair of numbers"):
+        payload_to_matrix(payload)
+
+
+@pytest.mark.parametrize("cell", [[float("nan"), 0.0], [0.5, float("inf")], [float("-inf"), 0.0]])
+def test_non_finite_cell_rejected(tmp_path, cell):
+    # a NaN off-diagonal pair used to load as a normalized state
+    entries = [[[0.5, 0.0], cell], [cell, [0.5, 0.0]]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    with pytest.raises(ValidationError, match=r"entry \(0,1\) is not finite"):
+        parse_state_file(path)
+
+
+def test_state_file_loads_complex128(tmp_path):
+    path = tmp_path / "real.json"
+    write_state_file(path, np.diag([0.75, 0.25]))
+    assert parse_state_file(path).mat.dtype == np.complex128
+    write_state_file(path, random_density(4, 4, 3).mat, dims=(2, 2))
+    assert parse_state_file(path).state.mat.dtype == np.complex128
+
+
 def test_non_hermitian_names_entry(tmp_path):
     path = tmp_path / "nonherm.json"
     payload = {"dim": 2, "entries": [[[0.5, 0.0], [0.3, 0.0]],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qdiv.divergences import d_max, d_min, relative_entropy
 from qdiv.operators import (
     DensityOperator,
     HermitianOperator,
@@ -9,6 +10,7 @@ from qdiv.operators import (
     SUPPORT_RTOL,
     Spectrum,
     ValidationError,
+    _as_matrix,
     _spectral_projectors,
     apply_channel,
     compare_projector,
@@ -24,6 +26,7 @@ from qdiv.operators import (
     tensor,
     trace_distance,
 )
+from qdiv.smoothing import lemma5_smooth, smooth_dmax_upper, smooth_dmin_lower
 
 
 def bell():
@@ -196,3 +199,100 @@ def test_random_channel_rejects_empty_dimensions():
     for dims in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
         with pytest.raises(ValidationError, match="dimensions must be >= 1"):
             random_channel(*dims, seed=0)
+
+
+# ------------------------------ the dtype rule ------------------------------
+
+@pytest.mark.parametrize("entries", [
+    [[True, False], [False, False]],
+    [[1, 0], [0, 0]],
+    np.array([[1, 2], [2, 1]], dtype=np.int32),
+    np.array([[0.5, 0.25], [0.25, 0.5]], dtype=np.float32),
+    [[0.5, 0.25], [0.25, 0.5]],
+])
+def test_real_input_gives_float64(entries):
+    assert _as_matrix(entries).dtype == np.float64
+    assert HermitianOperator(entries).mat.dtype == np.float64
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.5, 0.25j], [-0.25j, 0.5]],
+    np.array([[0.5, 0.0], [0.0, 0.5]], dtype=np.complex64),
+    np.eye(2, dtype=complex) / 2,
+])
+def test_complex_input_stays_complex128(entries):
+    assert _as_matrix(entries).dtype == np.complex128
+    assert HermitianOperator(entries).mat.dtype == np.complex128
+    assert DensityOperator.from_matrix(entries).mat.dtype == np.complex128
+
+
+def test_density_from_real_matrix_is_float64():
+    rho = DensityOperator.from_matrix(np.diag([0.75, 0.25]))
+    assert rho.mat.dtype == np.float64
+    assert compare_projector(rho, np.eye(2) / 2).mat.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[np.inf, 0.0], [0.0, 0.5]],
+    [[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]],
+])
+def test_hermitian_rejects_non_finite_entries(bad):
+    # NaN entries used to pass as a normalized state whose d_max was NaN
+    with pytest.raises(ValidationError, match="non-finite"):
+        HermitianOperator(bad)
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityOperator.from_matrix(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    [["0.5", "0"], ["0", "0.5"]],
+    [["a", "b"], ["c", "d"]],
+    [[0.5, None], [None, 0.5]],
+])
+def test_hermitian_rejects_non_numeric_entries(bad):
+    with pytest.raises(ValidationError, match="numbers"):
+        HermitianOperator(bad)
+    with pytest.raises(ValidationError, match="numbers"):
+        DensityOperator.from_matrix(bad)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 0.0], [0.0]], [[1.0, [0.0, 1.0]], [0.0, 1.0]]])
+def test_hermitian_rejects_ragged_entries(bad):
+    with pytest.raises(ValidationError, match="do not form a matrix"):
+        HermitianOperator(bad)
+
+
+def _real_state(rng, dim, rank):
+    g = rng.standard_normal((dim, rank))
+    m = g @ g.T
+    return m / np.trace(m)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_real_pair_matches_its_complex_copy(dim):
+    rng = np.random.default_rng([22, dim])
+    mats = (_real_state(rng, dim, (dim + 1) // 2), _real_state(rng, dim, dim))
+    rho, sigma = (DensityOperator.from_matrix(m) for m in mats)
+    rho_c, sigma_c = (DensityOperator.from_matrix(m.astype(complex)) for m in mats)
+    assert rho.mat.dtype == sigma.mat.dtype == np.float64
+    assert rho_c.mat.dtype == sigma_c.mat.dtype == np.complex128
+    for fn in (d_max, d_min, relative_entropy):
+        assert fn(rho, sigma).bits == pytest.approx(fn(rho_c, sigma_c).bits, abs=1e-12)
+    eps = 0.1
+    upper, upper_c = smooth_dmax_upper(rho, sigma, eps), smooth_dmax_upper(rho_c, sigma_c, eps)
+    assert upper.lambda_bits == pytest.approx(upper_c.lambda_bits, abs=1e-12)
+    assert smooth_dmin_lower(rho, sigma, eps) == pytest.approx(
+        smooth_dmin_lower(rho_c, sigma_c, eps), abs=1e-12)
+    lam = d_max(rho, sigma).bits - 0.3
+    cert, cert_c = lemma5_smooth(rho, sigma, lam), lemma5_smooth(rho_c, sigma_c, lam)
+    assert cert.smoothed.mat.dtype == np.float64
+    assert np.abs(cert.smoothed.mat - cert_c.smoothed.mat).max() <= 1e-12
+    assert cert.epsilon_used == pytest.approx(cert_c.epsilon_used, abs=1e-12)
+    assert cert.transform_trace_dist == pytest.approx(cert_c.transform_trace_dist, abs=1e-12)
+    for t in (0.3, 1.0, 2.0):
+        for relation in (">=", ">", "<=", "<"):
+            proj = compare_projector(rho, t * sigma.mat, relation)
+            proj_c = compare_projector(rho_c, t * sigma_c.mat, relation)
+            assert proj.mat.dtype == np.float64
+            assert proj.rank == proj_c.rank

@@ -24,6 +24,7 @@ from qdiv.spectral import (
     _compositions,
     _n_copy_pair,
     divergence_rate_estimate,
+    joint_eigen_probabilities,
     lemma2_bound_check,
     rate_curve,
     spectral_trace,
@@ -343,7 +344,9 @@ def test_rate_curve_dense_near_singular_sigma():
     pt = rate_curve(IIDPair(rho=rho, sigma=sigma), 0.05, [5])[0]
     assert 0.0 <= pt.dmin_over_n <= pt.dmax_over_n
     # no smoothing within eps pays off here, so the bound is D_max, additive
-    # over copies; at this condition number d_max carries rounding near 1e-7
+    # over copies; at this condition number d_max of the complex n-copy pair
+    # carries rounding near 1e-7, that of the real frame, with sigma~
+    # diagonal, near 1e-15
     assert pt.dmax_over_n == pytest.approx(d_max(rho.mat, sigma.mat).bits, abs=1e-6)
 
 
@@ -523,3 +526,88 @@ def test_qubit_path_factors_only_compressed_matrices(monkeypatch):
         rate_curve(pair, 0.05, [n])
         spectral_trace(pair, n, 0.2)
         assert sizes and max(sizes) == (n + 2) ** 2 // 4
+
+
+# -------------------- the real frame of a qubit pair --------------------
+
+def _real_frame_pairs():
+    """Non-commuting qubit pairs: full rank, rank-1 rho, and the near-singular
+    sigma of ``test_rate_curve_dense_near_singular_sigma``."""
+    rng = np.random.default_rng([22, 0])
+    full = IIDPair(rho=DensityOperator.from_matrix(_ginibre_qubit(rng)),
+                   sigma=DensityOperator.from_matrix(_ginibre_qubit(rng)))
+    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    pure = IIDPair(rho=DensityOperator.from_matrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real),
+                   sigma=DensityOperator.from_matrix(_ginibre_qubit(rng)))
+    rng = np.random.default_rng([2, 2])
+    near_singular = IIDPair(rho=DensityOperator.from_matrix(_ginibre_qubit(rng)),
+                            sigma=DensityOperator.from_matrix(_ginibre_qubit(rng)))
+    return {"full rank": full, "rank-1 rho": pure, "near-singular sigma": near_singular}
+
+
+@pytest.mark.parametrize("label", ["full rank", "rank-1 rho", "near-singular sigma"])
+def test_real_frame_compressed_pair_is_real_with_diagonal_sigma(label):
+    pair = _real_frame_pairs()[label]
+    assert not pair.commuting
+    assert pair.rho.mat.dtype == pair.sigma.mat.dtype == np.complex128
+    for n in range(1, 6):
+        rho_c, sigma_c = _n_copy_pair(pair, n)
+        assert rho_c.mat.dtype == sigma_c.mat.dtype == np.float64
+        assert np.array_equal(sigma_c.mat, np.diag(np.diagonal(sigma_c.mat)))
+
+
+def test_joint_eigen_probabilities_of_real_rho_and_complex_sigma():
+    # rho = I/2 is real and degenerate, so sigma is split inside its one
+    # eigenspace by complex eigenvectors, which must not be cast into rho's
+    # real eigenbasis
+    sigma = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
+    pair = IIDPair(rho=DensityOperator.from_matrix(np.eye(2) / 2),
+                   sigma=DensityOperator.from_matrix(sigma))
+    assert pair.commuting and pair.rho.mat.dtype == np.float64
+    p, q = joint_eigen_probabilities(pair)
+    assert np.allclose(p, [0.5, 0.5]) and np.allclose(q, [0.3, 0.7])
+    diagonal = _diagonal_pair([0.5, 0.5], [0.3, 0.7])
+    for pt, ref in zip(rate_curve(pair, 0.05, [1, 3]), rate_curve(diagonal, 0.05, [1, 3])):
+        assert pt.dmax_over_n == pytest.approx(ref.dmax_over_n, abs=1e-12)
+        assert pt.dmin_over_n == pytest.approx(ref.dmin_over_n, abs=1e-12)
+
+
+@pytest.mark.parametrize("label", ["full rank", "rank-1 rho", "near-singular sigma"])
+def test_real_frame_matches_complex_tensor_power_pair(label):
+    pair = _real_frame_pairs()[label]
+    eps = 0.05
+    for pt in rate_curve(pair, eps, [1, 2, 3, 4]):
+        rho_n, sigma_n = tensor_power(pair.rho, pt.n), tensor_power(pair.sigma, pt.n)
+        assert rho_n.mat.dtype == np.complex128
+        dmax = smooth_dmax_upper(rho_n, sigma_n, eps).lambda_bits
+        dmin = max(0.0, smooth_dmin_lower(rho_n, sigma_n, eps))
+        if label == "near-singular sigma":
+            # no smoothing pays off, so the bound is D_max, n times the
+            # single-copy value; the whitening by sigma^(x)n^{-1/2}, condition
+            # number 6.5e7 at n = 4, leaves 2.8e-10 bits of rounding in the
+            # tensor-power value, and 3e-15 in the real frame's
+            assert dmax == d_max(rho_n.mat, sigma_n.mat).bits
+            exact = pt.n * d_max(pair.rho.mat, pair.sigma.mat).bits
+            assert abs(dmax - exact) <= 1e-9
+            dmax = exact
+        assert pt.dmax_over_n == pytest.approx(dmax / pt.n, abs=1e-12)
+        assert pt.dmin_over_n == pytest.approx(dmin / pt.n, abs=1e-12)
+        for gamma in (-0.5, 0.0, 0.3, 1.0, 2.5):
+            scaled = 2.0 ** (pt.n * gamma) * sigma_n.mat
+            proj = compare_projector(rho_n.mat, scaled, ">=").mat
+            for weight, target in (("rho", rho_n.mat), ("sigma", sigma_n.mat)):
+                dense = max(float(np.trace(proj @ target).real), 0.0)
+                got = spectral_trace(pair, pt.n, gamma, weight=weight)
+                assert got == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_spectral_trace_rejects_non_finite_gamma(gamma):
+    # the type-class path returned 0.0 for NaN and +inf, and the dense path
+    # raised LinAlgError from eigh
+    for pair in (PAIR, noncommuting_pair()):
+        for weight in ("rho", "sigma"):
+            with pytest.raises(ValidationError, match="finite"):
+                spectral_trace(pair, 2, gamma, weight=weight)
+        with pytest.raises(ValidationError, match="finite"):
+            lemma2_bound_check(pair, 2, gamma)
