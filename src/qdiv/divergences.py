@@ -169,7 +169,7 @@ def chernoff_bound(rho, sigma) -> DivergenceValue:
     Golden-section refinement after a 64-point bracketing grid.
     """
     rm, sm = _matched_matrices(rho, sigma)
-    spec_r, spec_s = Spectrum.of(rm), Spectrum.of(sm)
+    spec_r, spec_s = Spectrum.of(rm), _psd_spectrum(sm)
     keep_r, keep_s = spec_r.support, spec_s.support
     w, v = spec_r.eigenvalues[keep_r], spec_s.eigenvalues[keep_s]
     overlap = np.abs(spec_r.eigenvectors[:, keep_r].conj().T @ spec_s.eigenvectors[:, keep_s]) ** 2

@@ -258,6 +258,15 @@ def _mass(logs: np.ndarray, mask: np.ndarray) -> float:
     return float(np.exp(np.logaddexp.reduce(logs[mask])))
 
 
+def _pow2(bits: float) -> float:
+    """2^bits as a float; ``ValidationError`` where it overflows the float range."""
+    try:
+        return 2.0**bits
+    except OverflowError:
+        raise ValidationError(
+            f"2^{bits:g} is beyond the float range, which ends below 2^1024") from None
+
+
 def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
                    weight: str = "rho") -> float:
     """Tr[{rho^(n) >= 2^{n gamma} sigma^(n)} X^(n)] with X = rho or sigma.
@@ -266,7 +275,9 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
     dense path works for qubits on the Schur-Weyl compressed pair in its real
     frame (``_n_copy_pair``), whose projector carries the n-copy masses, and
     on the tensor powers otherwise.  n must be an integer >= 1 and gamma_bits
-    a finite number.
+    a finite number.  The dense path scales sigma^(n) by 2^{n gamma}, which
+    must be a finite float (n gamma below 1024): beyond that it raises
+    ``ValidationError``, while the type-class path answers any finite gamma.
     """
     if weight not in ("rho", "sigma"):
         raise ValueError("weight must be 'rho' or 'sigma'")
@@ -281,15 +292,17 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
         logs = table.log_p if weight == "rho" else table.log_q
         return _mass(logs, mask)
     rho_n, sigma_n = (x.mat for x in _n_copy_pair(pair, n))
-    proj, _ = _spectral_projectors(rho_n - (2.0**threshold) * sigma_n, ">=")
+    proj, _ = _spectral_projectors(rho_n - _pow2(threshold) * sigma_n, ">=")
     target = rho_n if weight == "rho" else sigma_n
     return max(float(np.trace(proj @ target).real), 0.0)
 
 
 def lemma2_bound_check(pair: IIDPair, n: int, gamma_bits: float) -> tuple:
-    """(Tr[{rho_n >= 2^{n gamma} sigma_n} sigma_n], 2^{-n gamma})."""
+    """(Tr[{rho_n >= 2^{n gamma} sigma_n} sigma_n], 2^{-n gamma}).  The
+    powers of 2 must be finite floats: n gamma above -1024 on both paths, and
+    below 1024 on the dense path; beyond that it raises ``ValidationError``."""
     lhs = spectral_trace(pair, n, gamma_bits, weight="sigma")
-    return lhs, 2.0 ** (-n * gamma_bits)
+    return lhs, _pow2(-n * gamma_bits)
 
 
 def _classical_smooth_dmin_types(table: TypeTable, eps: float, dmin_n: float) -> float:

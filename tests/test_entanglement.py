@@ -350,6 +350,15 @@ def test_rel_ent_2x3_starts_from_column_generation_witness():
     assert rel_ent_entanglement(state) <= 0.05
 
 
+def test_rel_ent_search_is_not_cut_short():
+    # a search that pruned a product ensemble stopped at its first prune, at
+    # 0.2023 and 0.0276 bits
+    state = BipartiteState((2, 2), random_density(4, 4, np.random.default_rng(3)))
+    assert rel_ent_entanglement(state) <= 0.1990
+    state = BipartiteState((2, 3), random_density(6, 6, np.random.default_rng(1)))
+    assert rel_ent_entanglement(state) <= 0.0240
+
+
 def test_emax_witness_is_separable_certificate():
     res = emax(bell_state())
     sigma = res.witness.assemble()
@@ -392,7 +401,7 @@ def test_rel_ent_entanglement_one_eigh_per_candidate(monkeypatch):
 
     monkeypatch.setattr(entanglement, "_rel_ent_objective", counted_objective)
     rel_ent_entanglement(state)
-    # 321 full-dimension eigendecompositions for 320 candidates (669 before)
+    # 662 full-dimension eigendecompositions for 661 candidates
     assert calls["candidates"] >= 100
     assert calls["eig"] <= calls["candidates"] + 1
 

@@ -611,3 +611,17 @@ def test_spectral_trace_rejects_non_finite_gamma(gamma):
                 spectral_trace(pair, 2, gamma, weight=weight)
         with pytest.raises(ValidationError, match="finite"):
             lemma2_bound_check(pair, 2, gamma)
+
+
+def test_thresholds_beyond_float_range_are_validation_errors():
+    # 2^{n gamma} and 2^{-n gamma} used to raise OverflowError past 2^1024
+    dense = IIDPair(rho=random_density(2, 2, 1), sigma=random_density(2, 2, 2))
+    with pytest.raises(ValidationError, match="float range"):
+        spectral_trace(dense, 1, 1100.0)
+    for pair in (dense, PAIR):
+        with pytest.raises(ValidationError, match="float range"):
+            lemma2_bound_check(pair, 1, -1100.0)
+    # the type-class path compares log-ratios and answers any finite gamma
+    assert spectral_trace(PAIR, 1, 1100.0) == 0.0
+    assert spectral_trace(PAIR, 1, -1100.0) == pytest.approx(1.0, abs=1e-12)
+    assert lemma2_bound_check(PAIR, 1, 1100.0) == (0.0, 0.0)
