@@ -301,18 +301,29 @@ def smooth_dmin_lower(rho: DensityOperator, sigma: DensityOperator, eps: float) 
     return best
 
 
+def _classical_weights(p, q, where: str) -> tuple:
+    """(p, q) as float arrays, or ``ValidationError`` unless both are 1-D of
+    one nonzero length, finite and nonnegative."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.ndim != 1 or p.shape != q.shape or not p.size:
+        raise ValidationError(f"{where} needs p and q 1-D of one nonzero length, "
+                              f"got shapes {p.shape} and {q.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all() and (p >= 0).all() and (q >= 0).all()):
+        raise ValidationError(f"{where} needs finite, nonnegative weights")
+    return p, q
+
+
 def smooth_dmin_exact_classical(p, q, eps: float) -> float:
     """Exact eps-smooth min-relative entropy for commuting (diagonal) pairs.
 
     Deleting mass is optimal because the min-relative entropy depends only on
     the support, so subset enumeration over the support of p is exact.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if (p < 0).any() or (q < 0).any():
-        raise ValueError("weights must be nonnegative")
+    if not eps > 0:  # also rejects NaN
+        raise ValidationError("eps must be positive")
+    p, q = _classical_weights(p, q, "smooth_dmin_exact_classical")
     if p.sum() > 1 + 1e-10:
-        raise ValueError("p must have total mass at most 1")
+        raise ValidationError("p must have total mass at most 1")
     supp = np.flatnonzero(p > 0)
     if supp.size > 20:
         raise ValidationError("support larger than 20; enumeration refused")
@@ -329,7 +340,8 @@ def smooth_dmin_exact_classical(p, q, eps: float) -> float:
         overlap = q[keep].sum()
         val = math.inf if overlap <= 0 else -math.log2(overlap)
         best = max(best, val)
-    return best
+    # an overlap of 1 gives -0.0; adding +0.0 turns it into +0.0
+    return best + 0.0
 
 
 def smooth_dmax_exact_classical(p, q, eps: float) -> float:
@@ -340,9 +352,9 @@ def smooth_dmax_exact_classical(p, q, eps: float) -> float:
     at most eps (t = 0 is feasible).  Serves as the independent oracle for the
     semidefinite program of ``smooth_dmax_exact``.
     """
+    p, q = _classical_weights(p, q, "smooth_dmax_exact_classical")
     with np.errstate(divide="ignore"):
-        return smooth_dmax_exact_log(np.log(np.asarray(p, dtype=float)),
-                                     np.log(np.asarray(q, dtype=float)), eps)
+        return smooth_dmax_exact_log(np.log(p), np.log(q), eps)
 
 
 def smooth_dmax_exact_log(log_p, log_q, eps: float) -> float:
@@ -355,7 +367,17 @@ def smooth_dmax_exact_log(log_p, log_q, eps: float) -> float:
     cost at the k-th ratio r_k is f + P_{k-1} - r_k Q_{k-1} (f the p-mass on
     {q = 0}, P and Q prefix sums); the last breakpoint k with cost <= eps
     fixes the segment, on which t = (f + P_k - eps) / Q_k.
+
+    The cost at k is at most f + P_{k-1}, also after rounding, since it only
+    subtracts; so no cost exceeds eps before the first k0 where f + P_{k0-1}
+    does, and -inf is the answer when none does.  log Q through k0 - 2 is one
+    ``logaddexp`` reduction, and the running log Q from there on is
+    accumulated in windows of 256 entries, then 512 and so on, until the
+    cost passes eps: the log-domain sums stop near the crossing, and every
+    value is bit for bit that of one accumulation over the whole table.
     """
+    if not eps > 0:  # also rejects NaN
+        raise ValidationError("eps must be positive")
     log_p = np.asarray(log_p, dtype=float)
     log_q = np.asarray(log_q, dtype=float)
     live = np.isfinite(log_p)
@@ -368,11 +390,29 @@ def smooth_dmax_exact_log(log_p, log_q, eps: float) -> float:
     if not lp.size:
         return -math.inf
     cum_p = np.cumsum(np.exp(lp))
-    log_cum_q = np.logaddexp.accumulate(lq)
-    cost = fixed + np.concatenate(([0.0], cum_p[:-1] - np.exp(lp[1:] - lq[1:] + log_cum_q[:-1])))
-    above = np.flatnonzero(cost > eps)
-    k = above[0] if above.size else len(cost)
-    excess = fixed + cum_p[k - 1] - eps
-    if excess <= 0.0:
+    # entry m bounds the cost at k = m + 1
+    over = fixed + cum_p > eps
+    start = int(np.argmax(over))
+    if not over[start]:
         return -math.inf
-    return float(math.log(excess) - log_cum_q[k - 1]) / math.log(2.0)
+    # log Q_{start-1}; -inf before the first entry
+    log_q_run = np.logaddexp.reduce(lq[:start], initial=-np.inf)
+    size, width = len(lq), 256
+    while True:
+        stop = min(start + width, size)
+        # log Q_m for m in [start, stop), carried on from log Q_{start-1}
+        log_cum_q = np.logaddexp.accumulate(np.concatenate(([log_q_run], lq[start:stop])))[1:]
+        last = min(stop, size - 1)  # the cost runs to k = size - 1
+        cost = fixed + (cum_p[start:last]
+                        - np.exp(lp[start + 1:last + 1] - lq[start + 1:last + 1]
+                                 + log_cum_q[:last - start]))
+        above = np.flatnonzero(cost > eps)
+        if above.size or stop == size:
+            m = start + above[0] if above.size else size - 1
+            break
+        log_q_run = log_cum_q[-1]
+        start, width = stop, 2 * width
+    # k = m + 1 is the first breakpoint above eps, or the end of the table;
+    # f + P_m > eps, since m >= k0 - 1
+    excess = fixed + cum_p[m] - eps
+    return float(math.log(excess) - log_cum_q[m - start]) / math.log(2.0)

@@ -23,7 +23,12 @@ from .operators import (
     _spectral_projectors,
     hermitian_part,
 )
-from .smoothing import smooth_dmax_exact_log, smooth_dmax_upper, smooth_dmin_lower
+from .smoothing import (
+    _classical_weights,
+    smooth_dmax_exact_log,
+    smooth_dmax_upper,
+    smooth_dmin_lower,
+)
 
 DENSE_DIM_GUARD = 4096
 TYPE_COUNT_GUARD = 2_000_000
@@ -213,20 +218,20 @@ class TypeTable:
 
 def type_table(p: np.ndarray, q: np.ndarray, n: int) -> TypeTable:
     """Log masses and quantized log-likelihood ratios of the type classes of
-    n letters drawn from weights p and q (1-D, of equal length d), one entry
-    per row of ``_compositions(n, d)``.
+    n letters drawn from weights p and q (1-D, of equal length d, finite and
+    nonnegative), one entry per row of ``_compositions(n, d)``.
 
     The per-type sums of log k!, k log p and k log q run one letter at a time
     into length-K vectors, left to right from 0: for d <= 7 that is bit for
     bit numpy's ``sum(axis=1)`` over the (K, d) terms, whose pairwise order
-    differs in the last bits from d = 8.  n = 0 gives the one empty type.
+    differs in the last bits from d = 8.  A letter of positive weight adds
+    k log p as it is, since at k = 0 that is a signed zero, which leaves the
+    sum as it was; only a zero weight needs the k = 0 case masked.  n = 0
+    gives the one empty type.
     """
-    p, q = np.asarray(p), np.asarray(q)
     if not _is_count(n, 0):
         raise ValidationError(f"type_table needs n an integer >= 0, got {n!r}")
-    if p.ndim != 1 or p.shape != q.shape or not p.size:
-        raise ValidationError(f"type_table needs p and q 1-D of one nonzero length, "
-                              f"got shapes {p.shape} and {q.shape}")
+    p, q = _classical_weights(p, q, "type_table")
     d = len(p)
     count = math.comb(n + d - 1, d - 1)
     if count > TYPE_COUNT_GUARD:
@@ -240,9 +245,8 @@ def type_table(p: np.ndarray, q: np.ndarray, n: int) -> TypeTable:
         for k, lp, lq in zip(ks.T, np.log(p), np.log(q)):
             fact_sum += log_fact[k]
             # a letter that does not occur contributes p^0 = 1, also when p = 0
-            occurs = k > 0
-            seq_lp += np.where(occurs, k * lp, 0.0)
-            seq_lq += np.where(occurs, k * lq, 0.0)
+            seq_lp += k * lp if np.isfinite(lp) else np.where(k > 0, k * lp, 0.0)
+            seq_lq += k * lq if np.isfinite(lq) else np.where(k > 0, k * lq, 0.0)
         ratio = (seq_lp - seq_lq) / math.log(2.0)
     logmult = log_fact[n] - fact_sum
     # 0/0 sequences carry no mass on either side; treat as included ties (+inf)
@@ -252,10 +256,13 @@ def type_table(p: np.ndarray, q: np.ndarray, n: int) -> TypeTable:
     return TypeTable(log_p=logmult + seq_lp, log_q=logmult + seq_lq, ratio_bits=ratio)
 
 
-def _mass(logs: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return 0.0
-    return float(np.exp(np.logaddexp.reduce(logs[mask])))
+def _log_sum_exp(x: np.ndarray) -> float:
+    """log(sum(exp(x))), shifted by the largest entry; -inf for an empty or
+    all -inf x, without a warning."""
+    top = x.max(initial=-np.inf)
+    if top == -np.inf:
+        return -math.inf
+    return float(top + np.log(np.exp(x - top).sum()))
 
 
 def _pow2(bits: float) -> float:
@@ -290,7 +297,7 @@ def spectral_trace(pair: IIDPair, n: int, gamma_bits: float, *,
         table = type_table(p, q, n)
         mask = table.ratio_bits >= threshold - 0.5 * RATIO_QUANTUM
         logs = table.log_p if weight == "rho" else table.log_q
-        return _mass(logs, mask)
+        return float(np.exp(_log_sum_exp(logs[mask])))
     rho_n, sigma_n = (x.mat for x in _n_copy_pair(pair, n))
     proj, _ = _spectral_projectors(rho_n - _pow2(threshold) * sigma_n, ">=")
     target = rho_n if weight == "rho" else sigma_n
@@ -322,10 +329,10 @@ def _classical_smooth_dmin_types(table: TypeTable, eps: float, dmin_n: float) ->
     # is the best; the full prefix, the unsmoothed value, is always feasible
     # unless rho has no support at all
     j = np.flatnonzero(feasible)[0] if feasible.any() else len(order) - 1
-    kept = np.where(np.isneginf(log_p[: j + 1]), -np.inf, table.log_q[order][: j + 1])
+    kept = np.where(np.isneginf(log_p[: j + 1]), -np.inf, table.log_q[order[: j + 1]])
     # with nothing deleted, the closed form keeps the exact zeros of D_min from
     # hanging on how the type masses round
-    value = dmin_n if deleted[j] == 0.0 else -np.logaddexp.reduce(kept) / math.log(2.0)
+    value = dmin_n if deleted[j] == 0.0 else -_log_sum_exp(kept) / math.log(2.0)
     # a kept sigma-mass is at most 1, so the value is >= 0; the floor removes
     # rounding below zero, and max keeps its first argument on a tie, which
     # turns -0.0 into +0.0

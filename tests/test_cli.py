@@ -185,10 +185,17 @@ def test_smooth_bound_eps_zero_is_validation_error(runner, files, quantity):
     ["converge", "--nmax", "2", "--rho", "bell.json", "--sigma", "sigma.json"],
     ["converge", "--nmax", "0", "--rho", "rho.json", "--sigma", "sigma.json"],
     ["converge", "--nmax", "-1", "--rho", "rho.json", "--sigma", "sigma.json"],
+    # a commuting pair, so that these reach the classical smoother: it printed
+    # 1.0 and "-inf"
+    ["smooth", "--quantity", "dmin", "--mode", "exact", "--eps", "nan",
+     "--rho", "rho9.json", "--sigma", "sigma.json"],
+    ["smooth", "--quantity", "dmin", "--mode", "exact", "--eps", "-0.5",
+     "--rho", "rho9.json", "--sigma", "sigma.json"],
 ], ids=["renyi-alpha-1.5", "renyi-alpha-0", "converge-eps", "suite-dims", "gen-channel-dim",
         "smooth-eps", "emax-dims", "smooth-dmax-eps-nan", "smooth-dmin-eps-nan",
         "smooth-exact-eps-nan", "compute-dim-mismatch", "converge-dim-mismatch",
-        "converge-nmax-0", "converge-nmax-negative"])
+        "converge-nmax-0", "converge-nmax-negative", "smooth-dmin-exact-eps-nan",
+        "smooth-dmin-exact-eps-negative"])
 def test_bad_input_is_validation_error(runner, files, args, monkeypatch):
     monkeypatch.chdir(files)
     res = runner.invoke(main, args)

@@ -22,6 +22,7 @@ from qdiv.smoothing import (
     lemma5_smooth,
     smooth_dmax_exact,
     smooth_dmax_exact_classical,
+    smooth_dmax_exact_log,
     smooth_dmax_upper,
     smooth_dmin_exact_classical,
     smooth_dmin_lower,
@@ -328,6 +329,37 @@ def test_smooth_dmax_exact_classical_frozen():
     # total p-mass at most eps: t = 0 suffices
     assert smooth_dmax_exact_classical((0.1, 0.05), (0.5, 0.5), 0.2) == -math.inf
     assert smooth_dmax_exact_classical((0.1, 0.0), (0.0, 1.0), 0.2) == -math.inf
+
+
+def test_smooth_dmin_exact_classical_zero_is_positive():
+    # deleting the 0.1 letter is over budget, so all of sigma is kept: the
+    # value is -log2(1), which used to come back as -0.0
+    val = smooth_dmin_exact_classical((0.9, 0.1), (0.5, 0.5), 0.05)
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
+
+
+@pytest.mark.parametrize("smoother", [smooth_dmin_exact_classical, smooth_dmax_exact_classical])
+def test_classical_smoothers_validate_input(smoother):
+    # a NaN eps gave nan or 1.0, a negative one inf or -inf, a negative or
+    # NaN weight was dropped, and unequal lengths raised numpy's broadcast
+    # error
+    p, q = (0.5, 0.5), (0.5, 0.5)
+    for eps in (math.nan, -0.1, 0.0):
+        with pytest.raises(ValidationError, match="eps must be positive"):
+            smoother(p, q, eps)
+    for p_bad, q_bad in (((0.7, -0.1, 0.4), (0.3, 0.3, 0.4)), ((0.3, 0.3, 0.4), (0.7, -0.1, 0.4)),
+                         ((math.nan, 0.5), q), (p, (math.inf, 0.5))):
+        with pytest.raises(ValidationError, match="finite, nonnegative"):
+            smoother(p_bad, q_bad, 0.05)
+    for p_bad, q_bad in ((p, (0.2, 0.3, 0.5)), ((), ()), (((0.5, 0.5),), ((0.5, 0.5),))):
+        with pytest.raises(ValidationError, match="1-D of one nonzero length"):
+            smoother(p_bad, q_bad, 0.05)
+
+
+def test_smooth_dmax_exact_log_validates_eps():
+    for eps in (math.nan, -0.1, 0.0):
+        with pytest.raises(ValidationError, match="eps must be positive"):
+            smooth_dmax_exact_log(np.log([0.5, 0.5]), np.log([0.5, 0.5]), eps)
 
 
 def test_smooth_dmax_exact_classical_matches_dense():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qdiv.operators import (
 from qdiv.smoothing import (
     smooth_dmax_exact,
     smooth_dmax_exact_classical,
+    smooth_dmax_exact_log,
     smooth_dmax_upper,
     smooth_dmin_lower,
 )
@@ -22,6 +24,7 @@ from qdiv.spectral import (
     RATIO_QUANTUM,
     IIDPair,
     _compositions,
+    _log_sum_exp,
     _n_copy_pair,
     divergence_rate_estimate,
     joint_eigen_probabilities,
@@ -167,6 +170,11 @@ def test_type_table_rejects_bad_input():
                          (np.array(0.5), np.array(0.5)), (np.array([]), np.array([]))):
         with pytest.raises(ValidationError, match="1-D"):
             type_table(p_bad, q_bad, 3)
+    # these gave NaN log masses without a warning
+    for bad in ([1.2, -0.2], [math.nan, 1.0], [math.inf, 0.5]):
+        for p_bad, q_bad in ((bad, p), (p, bad)):
+            with pytest.raises(ValidationError, match="finite, nonnegative"):
+                type_table(p_bad, q_bad, 3)
 
 
 def test_type_table_log_multinomials_match_factorials():
@@ -625,3 +633,106 @@ def test_thresholds_beyond_float_range_are_validation_errors():
     assert spectral_trace(PAIR, 1, 1100.0) == 0.0
     assert spectral_trace(PAIR, 1, -1100.0) == pytest.approx(1.0, abs=1e-12)
     assert lemma2_bound_check(PAIR, 1, 1100.0) == (0.0, 0.0)
+
+
+# ------------------ log-domain sums of the type-class path -------------------
+
+def _smooth_dmax_exact_log_reference(log_p, log_q, eps):
+    """The exact smooth D_max from one sort and one ``logaddexp`` accumulation
+    over the whole table, every cost evaluated."""
+    live = np.isfinite(log_p)
+    fixed = float(np.exp(log_p[live & np.isneginf(log_q)]).sum())
+    if fixed > eps:
+        return math.inf
+    keep = live & np.isfinite(log_q)
+    order = np.argsort(log_q[keep] - log_p[keep])
+    lp, lq = log_p[keep][order], log_q[keep][order]
+    if not lp.size:
+        return -math.inf
+    cum_p = np.cumsum(np.exp(lp))
+    log_cum_q = np.logaddexp.accumulate(lq)
+    cost = fixed + np.concatenate(([0.0], cum_p[:-1] - np.exp(lp[1:] - lq[1:] + log_cum_q[:-1])))
+    above = np.flatnonzero(cost > eps)
+    k = above[0] if above.size else len(cost)
+    excess = fixed + cum_p[k - 1] - eps
+    if excess <= 0.0:
+        return -math.inf
+    return float(math.log(excess) - log_cum_q[k - 1]) / math.log(2.0)
+
+
+def _log_table_cases():
+    """400 seeded tables at d = 2..5, a third with a zero weight in p or q,
+    then large ones: d = 2 up to n = 4 * 10^4 and d = 3 at n = 600."""
+    rng = np.random.default_rng(25)
+    n_cap = {2: 120, 3: 120, 4: 50, 5: 24}
+    for _ in range(400):
+        d = int(rng.integers(2, 6))
+        p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        if rng.random() < 0.3:
+            p[rng.integers(d)] = 0.0
+        if rng.random() < 0.3:
+            q[rng.integers(d)] = 0.0
+        yield p / p.sum(), q / q.sum(), int(rng.integers(1, n_cap[d]))
+    for n in (1000, 3000, 10_000, 40_000):
+        yield np.array([0.75, 0.25]), np.array([0.5, 0.5]), n
+    yield np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]), 600
+
+
+def test_smooth_dmax_exact_log_bitwise_equals_full_accumulation():
+    # log Q is accumulated only from just before the first possible crossing
+    for p, q, n in _log_table_cases():
+        table = type_table(p, q, n)
+        for eps in (0.01, 0.05, 0.2, 0.6):
+            got = smooth_dmax_exact_log(table.log_p, table.log_q, eps)
+            want = _smooth_dmax_exact_log_reference(table.log_p, table.log_q, eps)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, q, n, eps)
+
+
+def test_log_sum_exp_edges_against_fsum():
+    cases = [np.array([]), np.full(3, -np.inf), np.array([-np.inf, -1.0, -np.inf, -2.5]),
+             np.array([0.0, -1e5, -50.0, -1e5 + 3.0]), np.array([-7e4, -7e4 - 1e5, -7e4 + 0.5]),
+             np.log(np.random.default_rng(3).random(1000))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in cases:
+            got = _log_sum_exp(x)
+            finite = x[np.isfinite(x)]
+            if not finite.size:
+                assert got == -math.inf
+                continue
+            top = float(finite.max())
+            want = top + math.log(math.fsum(math.exp(v - top) for v in finite))
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+_LOGADDEXP = np.logaddexp
+
+
+class _CountingLogaddexp:
+    """Stands in for ``np.logaddexp`` and counts the elements passed to it."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __call__(self, *args, **kwargs):
+        self.elements += int(np.broadcast(*args[:2]).size)
+        return _LOGADDEXP(*args, **kwargs)
+
+    def reduce(self, a, *args, **kwargs):
+        self.elements += np.size(a)
+        return _LOGADDEXP.reduce(a, *args, **kwargs)
+
+    def accumulate(self, a, *args, **kwargs):
+        self.elements += np.size(a)
+        return _LOGADDEXP.accumulate(a, *args, **kwargs)
+
+
+def test_type_class_rate_point_stays_out_of_logaddexp(monkeypatch):
+    # the d = 4 pair of the rates_types benchmark at n = 60, 39,711 type
+    # classes: the smooth D_max crosses its budget near class 3,800, and
+    # nothing else runs through logaddexp
+    counter = _CountingLogaddexp()
+    monkeypatch.setattr(np, "logaddexp", counter)
+    pair = _diagonal_pair((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4))
+    rate_curve(pair, 0.05, [60])
+    assert 0 < counter.elements < 0.25 * math.comb(63, 3)
